@@ -1,5 +1,6 @@
 #include "comm/comm.h"
 
+#include <charconv>
 #include <chrono>
 
 #include "bytecode/builder.h"
@@ -17,6 +18,14 @@ i64 nowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+// Parses an RMI frame header ("%09zu\n": nine decimal digits, newline).
+// Returns false on anything else.
+bool parseFrameLength(const std::string& header, size_t* len) {
+  if (header.size() != 10 || header[9] != '\n') return false;
+  const auto [end, ec] = std::from_chars(header.data(), header.data() + 9, *len);
+  return ec == std::errc() && end == header.data() + 9;
 }
 
 // Client bundle with two identical call loops: one against a bundle-local
@@ -237,8 +246,9 @@ void CommHarness::rmiServer() {
   for (;;) {
     // Length-prefixed framing, as an RMI transport would do over TCP.
     std::string header;
+    size_t len = 0;
     if (!server->readFully(&header, 10, &stop_)) break;
-    size_t len = static_cast<size_t>(std::stoll(header));
+    if (!parseFrameLength(header, &len)) break;
     std::string payload;
     if (!server->readFully(&payload, len, &stop_)) break;
 
@@ -286,8 +296,9 @@ i64 CommHarness::runRmi(i32 n) {
     rmi_channel_->writev(frames, 2);
 
     std::string header;
+    size_t len = 0;
     IJVM_CHECK(rmi_channel_->readFully(&header, 10, &stop_), "rmi cancelled");
-    size_t len = static_cast<size_t>(std::stoll(header));
+    IJVM_CHECK(parseFrameLength(header, &len), "malformed rmi frame header");
     std::string payload;
     IJVM_CHECK(rmi_channel_->readFully(&payload, len, &stop_), "rmi cancelled");
     Object* reply = deserializeGraph(vm_, t, payload);

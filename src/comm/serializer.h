@@ -10,14 +10,16 @@
 //  * deepCopy      -- direct graph copy into the receiver's isolate, the
 //                     Incommunicado model (no byte encoding, but allocation
 //                     and copying per call, plus thread synchronization);
-//  * serialize /   -- verbose stream encoding with per-field tags and a
+//  * serialize /   -- text stream encoding with per-field kind tags and a
 //    deserialize     checksum, the RMI model (everything deepCopy does plus
 //                     encode/decode and transport).
 //
-// Supported graphs: null, strings, primitive arrays, reference arrays and
-// Plain objects (fields by declared order). Shared nodes and cycles are
-// preserved via back-references. Native-backed objects are not supported
-// (they would not survive a real process boundary either).
+// Supported graphs: null, strings, primitive arrays, one-dimensional
+// reference arrays and Plain objects (fields in slot order). Shared nodes
+// and cycles are preserved via back-references. Native-backed objects are
+// not supported (they would not survive a real process boundary either).
+// All four walkers are iterative, so a graph's depth never reaches the
+// host stack.
 #pragma once
 
 #include <string>
@@ -62,8 +64,10 @@ Object* deepCopy(VM& vm, JThread* receiver, Object* src);
 std::string serializeGraph(VM& vm, Object* root);
 
 // Rebuilds the graph in the receiver's isolate; class names resolve through
-// the receiver's current loader. Returns nullptr (pending exception) on
-// malformed input or unresolvable classes.
+// the receiver's current loader. Returns nullptr with a pending guest
+// exception on any bad input -- a corrupt, truncated or malformed stream, a
+// field whose stream tag does not match the kind its class declares, or an
+// unresolvable class -- and never throws to the host.
 Object* deserializeGraph(VM& vm, JThread* receiver, const std::string& bytes);
 
 }  // namespace ijvm

@@ -56,6 +56,9 @@ struct Object {
   u16 alloc_bucket = 0xffff;
   i32 creator_isolate = 0;   // isolate that allocated the object
   i32 charged_isolate = -1;  // isolate charged by the last GC pass (-1: none)
+  // Strings: 1 once the string sits in an intern table (VM::internString
+  // sets it before the string is published). Fits in header padding.
+  u8 interned = 0;
   // Scratch bitmask used by the DividedShared accounting pass: bit i set =
   // reachable from isolate min(i, 63). Only meaningful during a collection.
   u64 reach_mask = 0;
@@ -91,5 +94,8 @@ struct Object {
   // Visit all guest references reachable directly from this object.
   void traceRefs(const std::function<void(Object*)>& visit);
 };
+
+// Header flags go in padding; the header must not grow.
+static_assert(sizeof(Object) == 64, "Object header grew");
 
 }  // namespace ijvm

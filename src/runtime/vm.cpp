@@ -312,7 +312,7 @@ Object* VM::newException(JThread* t, const std::string& exception_class,
   if (JField* f = cls->findField("message")) {
     if (!f->isStatic()) {
       Object* msg = heap_.allocString(
-          registry_.systemLoader()->find("java/lang/String"), message,
+          string_class_, message,
           t->current_isolate.load(std::memory_order_relaxed)->id);
       exc->fields()[f->slot] = Value::ofRef(msg);
     }
@@ -343,10 +343,9 @@ std::string VM::pendingMessage(JThread* t) {
 
 Object* VM::newStringObject(JThread* t, std::string chars) {
   Isolate* iso = t->current_isolate.load(std::memory_order_relaxed);
-  JClass* string_cls = registry_.systemLoader()->find("java/lang/String");
-  IJVM_CHECK(string_cls != nullptr, "java/lang/String not installed");
+  IJVM_CHECK(string_class_ != nullptr, "java/lang/String not installed");
   if (!checkMemoryLimits(t, sizeof(Object) + chars.size())) return nullptr;
-  Object* s = heap_.allocString(string_cls, std::move(chars), iso->id);
+  Object* s = heap_.allocString(string_class_, std::move(chars), iso->id);
   if (options_.accounting) {
     iso->stats.objects_allocated.fetch_add(1, std::memory_order_relaxed);
     iso->stats.bytes_allocated.fetch_add(s->byte_size, std::memory_order_relaxed);
@@ -371,6 +370,8 @@ Object* VM::internString(JThread* t, const std::string& chars) {
   if (s == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(iso->strings_mutex);
   auto [it, inserted] = iso->interned_strings.emplace(chars, s);
+  // Flagged under the lock, so any thread that finds `s` sees the flag.
+  if (inserted) s->interned = 1;
   return it->second;
 }
 

@@ -177,6 +177,9 @@ class VM {
   Object* internString(JThread* t, const std::string& chars);      // per-isolate
   Object* newStringObject(JThread* t, std::string chars);          // fresh
   static std::string stringValue(Object* s);                        // payload
+  // The system library's java/lang/String; installSystemLibrary sets it
+  // once it has defined the class.
+  void setStringClass(JClass* cls) { string_class_ = cls; }
 
   // ---- objects ----
   Object* allocObject(JThread* t, JClass* cls);        // checks limits, may GC
@@ -251,6 +254,7 @@ class VM {
 
   VmOptions options_;
   ClassRegistry registry_;
+  JClass* string_class_ = nullptr;
   Heap heap_;
   SafepointController safepoints_;
 

@@ -864,6 +864,7 @@ void installSystemLibrary(VM& vm) {
   defineObject(sys);
   defineClassClass(sys);
   defineString(sys);
+  vm.setStringClass(sys->findLocal("java/lang/String"));
   defineThrowables(sys);
   defineRunnableAndThread(sys);
   defineSystemAndMath(sys);

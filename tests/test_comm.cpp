@@ -7,6 +7,8 @@
 #include "comm/serializer.h"
 #include "heap/object.h"
 #include "stdlib/system_library.h"
+#include "support/rng.h"
+#include "support/strf.h"
 #include "workloads/bundles.h"
 
 namespace ijvm {
@@ -84,6 +86,183 @@ TEST_F(CommFixture, SerializerRejectsCorruptStream) {
   EXPECT_EQ(r, nullptr);
   ASSERT_NE(t->pending_exception, nullptr);
   vm->clearPending(t);
+}
+
+// Wraps `body` in the stream header with a valid checksum, so a crafted
+// stream reaches the parser rather than the integrity check.
+std::string withHeader(const std::string& body) {
+  u32 sum = 0;
+  for (unsigned char c : body) sum = sum * 131 + c;
+  return strf("IJSER1 %zu %u\n", body.size(), sum) + body;
+}
+
+// Deserializes `body` and expects a guest IllegalArgumentException (whose
+// message contains `why`, when given), not a result and not a host
+// exception.
+void expectRejected(VM& vm, JThread* t, const std::string& body,
+                    const std::string& why = "") {
+  SCOPED_TRACE(body);
+  Object* r = deserializeGraph(vm, t, withHeader(body));
+  EXPECT_EQ(r, nullptr);
+  ASSERT_NE(t->pending_exception, nullptr);
+  EXPECT_EQ(t->pending_exception->cls->name, "java/lang/IllegalArgumentException")
+      << vm.pendingMessage(t);
+  EXPECT_NE(vm.pendingMessage(t).find(why), std::string::npos) << vm.pendingMessage(t);
+  vm.clearPending(t);
+}
+
+TEST_F(CommFixture, DeserializerChecksFieldTagsAgainstDeclaredKinds) {
+  // An int smuggled into a reference field would let asRef() hand guest
+  // code the address 0x41414141; the stream's tag must match the kind the
+  // receiver's class declares.
+  boot();
+  ClassLoader* shared = fw->frameworkIsolate()->loader;
+  {
+    ClassBuilder cb("x/E");
+    cb.field("ref", "Ljava/lang/Object;");
+    shared->define(cb.build());
+    ClassBuilder ib("x/I");
+    ib.field("n", "I");
+    shared->define(ib.build());
+  }
+  JThread* t = vm->mainThread();
+  const std::string kMismatch = "field kind mismatch";
+  expectRejected(*vm, t, "OBJ 0 3:x/E 1 I 1094795585", kMismatch);
+  expectRejected(*vm, t, "OBJ 0 3:x/E 1 J 1094795585 ", kMismatch);
+  expectRejected(*vm, t, "OBJ 0 3:x/I 1 R NULL ", kMismatch);
+  expectRejected(*vm, t, "OBJ 0 3:x/I 1 D 1.5 ", kMismatch);
+
+  // Matching tags still decode.
+  Object* e = deserializeGraph(*vm, t, withHeader("OBJ 0 3:x/E 1 R STR 1 2:hi "));
+  ASSERT_NE(e, nullptr) << vm->pendingMessage(t);
+  Object* s = e->fields()[0].asRef();
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(VM::stringValue(s), "hi");
+  Object* i = deserializeGraph(*vm, t, withHeader("OBJ 0 3:x/I 1 I -7 "));
+  ASSERT_NE(i, nullptr) << vm->pendingMessage(t);
+  EXPECT_EQ(i->fields()[0].asInt(), -7);
+}
+
+TEST_F(CommFixture, MalformedStreamsRaiseGuestExceptionsNotHostErrors) {
+  // Each body carries a valid checksum, so the parser itself must turn
+  // every defect into a guest exception; none may throw to the host.
+  boot();
+  JThread* t = vm->mainThread();
+  // Non-numeric tokens.
+  expectRejected(*vm, t, "STR 0 x:abc ");
+  expectRejected(*vm, t, "ARI 0 2 1 x ");
+  expectRejected(*vm, t, "ARD 0 1 pi ");
+  expectRejected(*vm, t, "BACK zero ");
+  // Negative lengths.
+  expectRejected(*vm, t, "STR 0 -3:abc ");
+  expectRejected(*vm, t, "ARI 0 -3 ");
+  // Lengths past the end.
+  expectRejected(*vm, t, "STR 0 99:abc ");
+  expectRejected(*vm, t, "ARL 0 2000000000 1 ");
+  // Truncated arrays and objects.
+  expectRejected(*vm, t, "ARI 0 4 1 2 3 ");
+  expectRejected(*vm, t, "ARR 0 16:java/lang/Object 2 NULL ");
+  expectRejected(*vm, t, "ARR 0 16:java/lang/Object 1 ");
+  // Forged ids and class names.
+  expectRejected(*vm, t, "BACK 0 ");
+  expectRejected(*vm, t, "STR 5 1:a ");
+  expectRejected(*vm, t, "ARR 0 4:[[[I 0 ");
+  expectRejected(*vm, t, "ARR 0 1:; 0 ");
+  expectRejected(*vm, t, "NULL NULL ");
+  // Objects whose slots or payload hold host state, and an interface.
+  expectRejected(*vm, t, "OBJ 0 15:java/lang/Class 1 J 1094795585 ",
+                 "cannot deserialize a java/lang/Class");
+  expectRejected(*vm, t, "OBJ 0 16:java/lang/String 0 ",
+                 "cannot deserialize a java/lang/String");
+  expectRejected(*vm, t, "OBJ 0 18:java/lang/Runnable 0 ",
+                 "cannot deserialize a java/lang/Runnable");
+  expectRejected(*vm, t, "");
+}
+
+TEST_F(CommFixture, MutatedStreamsDecodeOrFailAsGuestExceptions) {
+  // Seeded byte mutations of a stream that uses every record kind: each
+  // mutant (re-checksummed, so it reaches the parser) must decode or fail
+  // with a guest exception -- never crash or throw to the host.
+  boot();
+  ClassLoader* shared = fw->frameworkIsolate()->loader;
+  {
+    ClassBuilder cb("t/F");
+    cb.field("i", "I");
+    cb.field("j", "J");
+    cb.field("d", "D");
+    cb.field("s", "Ljava/lang/String;");
+    cb.field("ints", "[I");
+    cb.field("longs", "[J");
+    cb.field("doubles", "[D");
+    cb.field("refs", "[Ljava/lang/Object;");
+    shared->define(cb.build());
+  }
+  JThread* t = vm->mainThread();
+  JClass* f_cls = shared->find("t/F");
+  std::string body;
+  {
+    LocalRootScope roots(t);
+    Object* f = roots.add(vm->allocObject(t, f_cls));
+    Object* ints = roots.add(
+        vm->allocArrayObject(t, vm->registry().arrayClass("[I"), 3));
+    Object* longs = roots.add(
+        vm->allocArrayObject(t, vm->registry().arrayClass("[J"), 2));
+    Object* doubles = roots.add(
+        vm->allocArrayObject(t, vm->registry().arrayClass("[D"), 2));
+    Object* refs = roots.add(vm->allocArrayObject(
+        t, vm->registry().arrayClass("[Ljava/lang/Object;"), 3));
+    Object* s = roots.add(vm->newStringObject(t, "mutate me"));
+    ints->intElems()[1] = -42;
+    longs->longElems()[0] = 1ll << 40;
+    doubles->doubleElems()[1] = 0.1;
+    refs->refElems()[0] = s;     // shared with f.s
+    refs->refElems()[1] = f;     // cycle
+    f->fields()[0] = Value::ofInt(7);
+    f->fields()[1] = Value::ofLong(-9);
+    f->fields()[2] = Value::ofDouble(2.5);
+    f->fields()[3] = Value::ofRef(s);
+    f->fields()[4] = Value::ofRef(ints);
+    f->fields()[5] = Value::ofRef(longs);
+    f->fields()[6] = Value::ofRef(doubles);
+    f->fields()[7] = Value::ofRef(refs);
+    const std::string bytes = serializeGraph(*vm, f);
+    body = bytes.substr(bytes.find('\n') + 1);
+  }
+  const std::string alphabet = " :-.0123456789IJDRNULBACKSTROBJ\n";
+  int decoded = 0;
+  for (u64 seed = 1; seed <= 2000; ++seed) {
+    Rng rng(seed);
+    std::string m = body;
+    for (u64 k = 1 + rng.nextBounded(3); k > 0 && !m.empty(); --k) {
+      const size_t at = rng.nextBounded(m.size());
+      switch (rng.nextBounded(3)) {
+        case 0:
+          m[at] = alphabet[rng.nextBounded(alphabet.size())];
+          break;
+        case 1:
+          m.erase(at, 1 + rng.nextBounded(4));
+          break;
+        default:
+          m.insert(at, 1, alphabet[rng.nextBounded(alphabet.size())]);
+          break;
+      }
+    }
+    SCOPED_TRACE(m);
+    LocalRootScope roots(t);
+    Object* r = roots.add(deserializeGraph(*vm, t, withHeader(m)));
+    if (t->pending_exception == nullptr) {
+      ++decoded;
+      continue;
+    }
+    EXPECT_EQ(r, nullptr);
+    const std::string cls = t->pending_exception->cls->name;
+    EXPECT_TRUE(cls == "java/lang/IllegalArgumentException" ||
+                cls == "java/lang/NoClassDefFoundError")
+        << vm->pendingMessage(t);
+    vm->clearPending(t);
+  }
+  // Some mutants (e.g. a changed digit) are still well formed.
+  EXPECT_GT(decoded, 0);
 }
 
 TEST_F(CommFixture, DeepCopyCreatesDistinctObjectsChargedToReceiver) {

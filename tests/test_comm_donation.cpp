@@ -34,8 +34,8 @@ namespace {
 // in values, shape or sharing changes the hash.
 i64 graphChecksum(Object* root) {
   std::unordered_map<Object*, i64> ids;
-  i64 h = 1469598103934665603LL;
-  auto mix = [&h](i64 v) { h = (h ^ v) * 1099511628211LL; };
+  u64 h = 1469598103934665603ULL;  // FNV-1a, wrapping (unsigned) arithmetic
+  auto mix = [&h](i64 v) { h = (h ^ static_cast<u64>(v)) * 1099511628211ULL; };
   std::function<void(Object*)> go = [&](Object* o) {
     if (o == nullptr) {
       mix(-1);
@@ -91,7 +91,7 @@ i64 graphChecksum(Object* root) {
     }
   };
   go(root);
-  return h;
+  return static_cast<i64>(h);
 }
 
 // Asserts every node of a received graph is keyed to `iso_id`: donated
@@ -460,6 +460,114 @@ TEST_F(DonationFixture, ZeroCopyOffNeverDonates) {
   EXPECT_EQ(iso_r->stats.objects_donated_in.load(), 0u);
   EXPECT_EQ(iso_s->stats.donated_bytes_delta.load(), 0);
   EXPECT_EQ(iso_r->stats.donated_bytes_delta.load(), 0);
+}
+
+// ---- graph depth and width never reach the host stack ----
+
+// The walkers keep their own stacks: a 200k-node list and a 100k-wide
+// Object[] go through transferGraph, deepCopy and serializeGraph ->
+// deserializeGraph on this thread's default stack. Without a memory limit
+// each must come back as a correct copy; under a receiver limit smaller
+// than the copy, as a guest OutOfMemoryError. Neither may crash the host.
+TEST_F(DonationFixture, DeepAndWideGraphsNeverReachTheHostStack) {
+  boot(/*zero_copy=*/true);
+  constexpr i32 kDepth = 200'000;
+  constexpr i32 kWidth = 100'000;
+  JThread* main_t = vm->mainThread();  // Isolate0 resolves d/Node
+  LocalRootScope roots(send_t);
+
+  // list: node i -> node i+1 through `left`, value i. Each node is linked
+  // from the rooted head's chain before the next allocation.
+  Object* list = roots.add(vm->allocObject(send_t, node_cls));
+  ASSERT_NE(list, nullptr);
+  Object* tail = list;
+  for (i32 i = 1; i < kDepth; ++i) {
+    Object* n = vm->allocObject(send_t, node_cls);
+    ASSERT_NE(n, nullptr);
+    n->fields()[value_f->slot] = Value::ofInt(i);
+    tail->fields()[left_f->slot] = Value::ofRef(n);
+    tail = n;
+  }
+  // wide: element i is a childless node with value i.
+  Object* wide = roots.add(vm->allocArrayObject(
+      send_t, vm->registry().resolve(loader0, "[Ld/Node;"), kWidth));
+  ASSERT_NE(wide, nullptr);
+  for (i32 i = 0; i < kWidth; ++i) {
+    Object* n = vm->allocObject(send_t, node_cls);
+    ASSERT_NE(n, nullptr);
+    n->fields()[value_f->slot] = Value::ofInt(i);
+    wide->refElems()[i] = n;
+  }
+
+  auto expectList = [&](Object* got) {
+    ASSERT_NE(got, nullptr);
+    Object* n = got;
+    for (i32 i = 0; i < kDepth; ++i) {
+      ASSERT_NE(n, nullptr) << "list ends at " << i;
+      ASSERT_EQ(n->cls, node_cls);
+      ASSERT_EQ(n->fields()[value_f->slot].asInt(), i);
+      n = n->fields()[left_f->slot].asRef();
+    }
+    EXPECT_EQ(n, nullptr);
+    EXPECT_NE(got, list);
+  };
+  auto expectWide = [&](Object* got) {
+    ASSERT_NE(got, nullptr);
+    ASSERT_EQ(got->kind, ObjKind::ArrayRef);
+    ASSERT_EQ(got->length, kWidth);
+    for (i32 i = 0; i < kWidth; ++i) {
+      Object* n = got->refElems()[i];
+      ASSERT_NE(n, nullptr);
+      ASSERT_NE(n, wide->refElems()[i]);
+      ASSERT_EQ(n->fields()[value_f->slot].asInt(), i);
+    }
+  };
+  // Runs every walker on `root` and checks each result with `expect`;
+  // the copies are dropped (and collected) before the next walker runs.
+  auto throughEveryWalker = [&](Object* root, const auto& expect) {
+    {
+      LocalRootScope keep(recv_t);
+      Object* got = keep.add(transferGraph(*vm, recv_t, iso_s, root));
+      ASSERT_EQ(recv_t->pending_exception, nullptr) << vm->pendingMessage(recv_t);
+      expect(got);
+      EXPECT_EQ(got->creator_isolate, iso_r->id);
+    }
+    {
+      LocalRootScope keep(recv_t);
+      Object* got = keep.add(deepCopy(*vm, recv_t, root));
+      ASSERT_EQ(recv_t->pending_exception, nullptr) << vm->pendingMessage(recv_t);
+      expect(got);
+    }
+    {
+      const std::string bytes = serializeGraph(*vm, root);
+      LocalRootScope keep(main_t);
+      Object* got = keep.add(deserializeGraph(*vm, main_t, bytes));
+      ASSERT_EQ(main_t->pending_exception, nullptr) << vm->pendingMessage(main_t);
+      expect(got);
+    }
+    vm->collectGarbage(main_t, nullptr);
+  };
+  throughEveryWalker(list, expectList);
+  throughEveryWalker(wide, expectWide);
+
+  // Over the receiver's limit the copy stops with a guest
+  // OutOfMemoryError partway through the graph.
+  iso_r->memory_limit = 4u << 20;
+  for (Object* root : {list, wide}) {
+    for (int walker = 0; walker < 2; ++walker) {
+      Object* got = walker == 0 ? transferGraph(*vm, recv_t, iso_s, root)
+                                : deepCopy(*vm, recv_t, root);
+      EXPECT_EQ(got, nullptr);
+      ASSERT_NE(recv_t->pending_exception, nullptr);
+      EXPECT_EQ(recv_t->pending_exception->cls->name, "java/lang/OutOfMemoryError");
+      vm->clearPending(recv_t);
+    }
+  }
+  iso_r->memory_limit = 0;
+  // The sender's graph is untouched.
+  EXPECT_EQ(list->fields()[value_f->slot].asInt(), 0);
+  EXPECT_EQ(wide->refElems()[kWidth - 1]->fields()[value_f->slot].asInt(),
+            kWidth - 1);
 }
 
 // ---- termination racing an in-flight donation, both kill orders ----
