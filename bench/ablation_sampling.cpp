@@ -1,11 +1,11 @@
-// Ablation: CPU-sampler period vs attribution quality and overhead.
+// Ablation: CPU-sampling rate vs attribution quality.
 //
 // The paper chose sampling over per-call timing because two syscalls plus a
 // lock per inter-isolate call are too expensive (section 3.2). This bench
 // quantifies the trade-off on this implementation: for several sampling
-// periods, two bundles spin concurrently for a fixed wall-clock window and
-// we report how far the sample split is from the ideal 50/50, plus the
-// sampler's effect on a single-bundle workload's runtime.
+// rates (VmOptions::profile_hz -- the profiler tick is the section-3.2
+// sampler), two bundles spin concurrently for a fixed wall-clock window and
+// we report how far the cpu_samples split is from the ideal 50/50.
 #include "bench_util.h"
 
 using namespace ijvm;
@@ -18,9 +18,9 @@ struct SpinSetup {
   Bundle* a = nullptr;
   Bundle* b = nullptr;
 
-  explicit SpinSetup(i32 sampler_period_us) {
+  explicit SpinSetup(u32 profile_hz) {
     VmOptions opts = VmOptions::isolated();
-    opts.sampler_period_us = sampler_period_us;
+    opts.profile_hz = profile_hz;
     platform = std::make_unique<BenchPlatform>(opts);
     BundleDescriptor da = makeMicroBundle("spin.a");
     BundleDescriptor db = makeMicroBundle("spin.b");
@@ -54,11 +54,11 @@ struct SpinSetup {
 }  // namespace
 
 int main() {
-  printHeader("Ablation: CPU sampling period vs attribution accuracy");
-  std::printf("%-12s %10s %10s %12s %14s\n", "period", "A samples", "B samples",
+  printHeader("Ablation: CPU sampling rate vs attribution accuracy");
+  std::printf("%-12s %10s %10s %12s %14s\n", "rate", "A samples", "B samples",
               "split error", "samples/sec");
-  for (i32 period_us : {250, 500, 1000, 2000, 4000}) {
-    SpinSetup setup(period_us);
+  for (u32 hz : {250u, 500u, 1000u, 2000u, 4000u}) {
+    SpinSetup setup(hz);
     setup.spinBoth(400);
     u64 sa = setup.a->isolate()->stats.cpu_samples.load();
     u64 sb = setup.b->isolate()->stats.cpu_samples.load();
@@ -67,12 +67,12 @@ int main() {
                      ? std::abs(50.0 - 100.0 * static_cast<double>(sa) /
                                            static_cast<double>(total))
                      : 100.0;
-    std::printf("%9d us %10llu %10llu %11.1f%% %14.0f\n", period_us,
+    std::printf("%9u Hz %10llu %10llu %11.1f%% %14.0f\n", hz,
                 static_cast<unsigned long long>(sa),
                 static_cast<unsigned long long>(sb), err, total / 0.4);
   }
-  std::printf("\nshape: finer periods gather more samples (better confidence)\n"
-              "at higher sampler overhead; all periods keep the split near the\n"
+  std::printf("\nshape: higher rates gather more samples (better confidence)\n"
+              "at higher sampler overhead; all rates keep the split near the\n"
               "scheduler's actual time division.\n");
   return 0;
 }

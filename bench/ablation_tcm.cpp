@@ -26,7 +26,6 @@ i64 timeMicro(const Config& cfg, const char* method, i32 n, int reps) {
   VmOptions opts;
   opts.isolation = cfg.isolation;
   opts.accounting = cfg.accounting;
-  opts.sampler_period_us = 0;
   opts.gc_threshold = 64u << 20;
   opts.heap_limit = 512u << 20;
   BenchPlatform p(opts);

@@ -47,7 +47,8 @@ struct MicroSetup {
 // ---- profiler overhead (shared by the full run and --smoke) ----
 // The sampler thread ticks at VmOptions::profile_hz (97 Hz under
 // VmOptions::isolated) for the whole measurement; setEnabled toggles
-// whether a tick requests samples. Reps are interleaved (on, off, on,
+// whether a tick does anything (stack-sample requests and the section-3.2
+// cpu_samples charge alike). Reps are interleaved (on, off, on,
 // off, ...) for the same clock-drift reason as the trace row, but judged
 // as *pairs*: each adjacent on/off pair runs under near-identical drift,
 // so its overhead ratio cancels the machine state two independent
@@ -58,13 +59,11 @@ struct MicroSetup {
 // held off for the duration so the row isolates the profiler's own cost:
 // the request stores, the self-sample stack walks and the ring
 // publishes. The poll-site fast path (two relaxed loads) runs in both
-// variants -- this row prices *sampling*; the noprofiler build leg
-// (-DIJVM_DISABLE_PROFILER) is what removes the polls themselves.
+// variants -- this row prices *sampling*, not the polls.
 struct ProfilerOverheadRow {
   double on_per_op = 0.0;
   double off_per_op = 0.0;
   double overhead_pct = 0.0;
-  double profiler_available = 0.0;
   double ops = 0.0;
 };
 
@@ -78,14 +77,11 @@ double medianOf(std::vector<double> v) {
 ProfilerOverheadRow measureProfilerOverhead(MicroSetup& jit, i32 calls_per_rep,
                                             int pairs) {
   ProfilerOverheadRow row;
-#ifndef IJVM_DISABLE_PROFILER
-  row.profiler_available = 1.0;
-#endif
   row.ops = static_cast<double>(calls_per_rep);
   obs::Profiler* prof = jit.platform->vm->profiler();
   obs::setTraceEnabled(false);
   auto timeOne = [&](bool on) {
-    if (prof != nullptr) prof->setEnabled(on);
+    prof->setEnabled(on);
     const i64 t0 = nowNs();
     jit.comm->runIJvm(calls_per_rep);
     return static_cast<double>(nowNs() - t0);
@@ -98,7 +94,7 @@ ProfilerOverheadRow measureProfilerOverhead(MicroSetup& jit, i32 calls_per_rep,
     off_ns.push_back(timeOne(false));
     pair_pct.push_back(pct(on_ns.back(), off_ns.back()));
   }
-  if (prof != nullptr) prof->setEnabled(true);
+  prof->setEnabled(true);
   obs::setTraceEnabled(true);
   row.on_per_op = medianOf(on_ns) / row.ops;
   row.off_per_op = medianOf(off_ns) / row.ops;
@@ -107,10 +103,6 @@ ProfilerOverheadRow measureProfilerOverhead(MicroSetup& jit, i32 calls_per_rep,
 }
 
 void printProfilerOverhead(const ProfilerOverheadRow& row) {
-#ifdef IJVM_DISABLE_PROFILER
-  std::printf("note: built with IJVM_DISABLE_PROFILER -- both columns run "
-              "unprofiled code\n");
-#endif
   std::printf("%-26s %12s %13s %10s\n", "micro-benchmark", "profiled ns",
               "unprofiled ns", "overhead");
   std::printf("%-26s %12.1f %13.1f %+9.1f%%\n", "inter-isolate call",
@@ -122,16 +114,13 @@ void addProfilerOverheadJson(BenchJson& json, const ProfilerOverheadRow& row) {
            {{"profiled_ns_per_op", row.on_per_op},
             {"unprofiled_ns_per_op", row.off_per_op},
             {"overhead_pct", row.overhead_pct},
-            {"profiler_available", row.profiler_available},
             {"ops", row.ops}});
 }
 
 // `--smoke`: the CI profiler-overhead gate (ISSUE 10). Boots only the
 // jit-ladder setup, measures the row above on the inter-isolate call
 // loop, writes it to BENCH_fig1_profiler_smoke.json, and fails the
-// process if the sampler's enabled overhead exceeds the 2% budget. With
-// the profiler compiled out both variants run identical code, so the
-// gate degenerates to timer noise around 0% and is not judged.
+// process if the sampler's enabled overhead exceeds the 2% budget.
 int runSmoke() {
   const i32 kCallsPerRep = 125000;  // ~13 ms per rep
   const int kPairs = 64;
@@ -156,7 +145,7 @@ int runSmoke() {
     return 1;
   }
   std::printf("\nwrote %s\n", out_path.c_str());
-  const bool ok = row.profiler_available == 0.0 || row.overhead_pct <= 2.0;
+  const bool ok = row.overhead_pct <= 2.0;
   std::printf("gate: %s\n", ok ? "PASS (profiler overhead within the 2% budget)"
                                : "FAIL (profiler overhead above 2%)");
   return ok ? 0 : 1;
@@ -292,13 +281,6 @@ int main(int argc, char** argv) {
 
   printHeader(
       "Execution tiers: classic / quickened / quickened+fusion / jit");
-#ifdef IJVM_DISABLE_FUSION
-  std::printf("note: built with IJVM_DISABLE_FUSION -- the 'fused' column "
-              "runs the unfused quickened engine\n");
-  const double fusion_available = 0.0;
-#else
-  const double fusion_available = 1.0;
-#endif
 #ifdef IJVM_DISABLE_JIT
   std::printf("note: built with IJVM_DISABLE_JIT -- the 'jit' column runs "
               "the fused interpreter\n");
@@ -333,7 +315,6 @@ int main(int argc, char** argv) {
                       {"fused_speedup_vs_classic", fused_vs_classic},
                       {"jit_speedup_vs_fused", jit_vs_fused},
                       {"jit_speedup_vs_classic", jit_vs_classic},
-                      {"fusion_available", fusion_available},
                       {"jit_available", jit_available},
                       {"ops", static_cast<double>(r.ops)}});
   }
@@ -362,13 +343,6 @@ int main(int argc, char** argv) {
   const i64 entry_only_ns = singleHotCall(false);
 
   printHeader("Single-invocation hot loop: jit-with-OSR vs jit-entry-only");
-#ifdef IJVM_DISABLE_OSR
-  std::printf("note: built with IJVM_DISABLE_OSR -- the 'osr' column runs "
-              "entry-only promotion\n");
-  const double osr_available = 0.0;
-#else
-  const double osr_available = jit_available;
-#endif
   {
     const double ops = static_cast<double>(kSingleCall);
     const double osr_per_op = static_cast<double>(osr_ns) / ops;
@@ -382,7 +356,6 @@ int main(int argc, char** argv) {
              {{"jit_osr_ns_per_op", osr_per_op},
               {"jit_entry_only_ns_per_op", entry_per_op},
               {"osr_speedup_vs_entry_only", speedup},
-              {"osr_available", osr_available},
               {"ops", ops}});
   }
 
@@ -482,9 +455,7 @@ int main(int argc, char** argv) {
   // ---- profiler overhead: the sampler's cost on the same hot path ----
   // Same loop, same interleaving discipline as the trace row above, but
   // toggling the sampling profiler instead of the trace. Budget: <= 2%
-  // (`--smoke` runs only this row and gates on it in CI). With
-  // IJVM_DISABLE_PROFILER both runs execute identical code and the row
-  // reads ~0.
+  // (`--smoke` runs only this row and gates on it in CI).
   printHeader("Profiler overhead: sampling profiler on vs off (budget <= 2%)");
   {
     const ProfilerOverheadRow prow =

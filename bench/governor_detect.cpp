@@ -41,7 +41,6 @@ std::unique_ptr<BenchPlatform> bootGoverned() {
   opts.gc_threshold = 1u << 20;
   opts.heap_limit = 64u << 20;
   opts.host_thread_cap = 48;
-  opts.sampler_period_us = 500;
   return std::make_unique<BenchPlatform>(opts);
 }
 

@@ -43,7 +43,6 @@ struct ServeEnv {
     opts.comm_zero_copy = zero_copy;
     opts.gc_threshold = 128u << 20;  // keep GC out of the timed paths
     opts.heap_limit = 512u << 20;
-    opts.sampler_period_us = 0;
     if (workers > 0) opts.mutator_threads = workers;
     vm = std::make_unique<VM>(opts);
     installSystemLibrary(*vm);
@@ -323,10 +322,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nwrote %s\n", out_path.c_str());
-#if !defined(IJVM_DISABLE_ZERO_COPY)
-  // The acceptance bar only applies to real runs of the real fast path;
-  // smoke runs are one noisy rep and the compile-out leg always copies.
+  // The acceptance bar only applies to real runs; smoke runs are one
+  // noisy rep.
   if (!g_smoke) return speedup >= 2.0 ? 0 : 1;
-#endif
   return 0;
 }

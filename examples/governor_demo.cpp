@@ -17,6 +17,7 @@
 #include "obs/report.h"
 #include "osgi/framework.h"
 #include "stdlib/system_library.h"
+#include "support/strf.h"
 #include "workloads/bundles.h"
 
 using namespace ijvm;
@@ -26,7 +27,6 @@ int main() {
   VmOptions opts = VmOptions::isolated();
   opts.gc_threshold = 1u << 20;
   opts.heap_limit = 64u << 20;
-  opts.sampler_period_us = 500;
   VM vm(opts);
   installSystemLibrary(vm);
   Framework fw(vm);
@@ -58,11 +58,18 @@ int main() {
   std::printf("\nwarnings/strikes recorded along the way:\n");
   for (const GovernorEvent& ev : gov.history()) {
     if (ev.acted) continue;  // final actions were printed live
+    // A CPU share is only as good as the samples behind it.
+    const std::string samples =
+        ev.signal == Signal::CpuShare
+            ? strf(", %llu cpu samples",
+                   static_cast<unsigned long long>(ev.samples))
+            : "";
     std::printf("  tick %3llu  %-16s %-12s [%s] observed %10.2f "
-                "(threshold %.2f, strike %d)\n",
+                "(threshold %.2f%s, strike %d)\n",
                 static_cast<unsigned long long>(ev.tick),
                 ev.bundle_name.c_str(), ev.rule_label.c_str(),
-                actionName(ev.action), ev.observed, ev.threshold, ev.strikes);
+                actionName(ev.action), ev.observed, ev.threshold,
+                samples.c_str(), ev.strikes);
   }
 
   std::printf("\nfinal platform state (admin snapshot):\n%s",

@@ -126,7 +126,6 @@ double ResourceGovernor::evaluate(const GovernorRule& rule,
                                   const IsolateReport& now,
                                   const BundleTrack& track,
                                   u64 total_cpu_delta,
-                                  bool profile_based,
                                   double hung_callers) const {
   const IsolateReport& prev = track.last;
   auto delta = [&](u64 IsolateReport::*field) -> double {
@@ -151,8 +150,7 @@ double ResourceGovernor::evaluate(const GovernorRule& rule,
       return hung_callers;
     case Signal::CpuShare: {
       if (total_cpu_delta == 0) return 0.0;
-      return delta(profile_based ? &IsolateReport::cpu_profile_samples
-                                 : &IsolateReport::cpu_samples) /
+      return delta(&IsolateReport::cpu_profile_samples) /
              static_cast<double>(total_cpu_delta);
     }
     case Signal::GcRate:
@@ -221,29 +219,18 @@ std::vector<GovernorEvent> ResourceGovernor::tick() {
     // which every mutator (pool workers included) bumps on its own -- the
     // rate signals below therefore aggregate across threads by
     // construction; nothing here reads a single thread's counters.
+    // The counter is the sampling profiler's (obs/profiler.h); with
+    // profile_hz = 0 nothing samples and CpuShare reads 0.
     u64 total_cpu = 0;
-    u64 total_profile = 0;
     for (const IsolateReport& r : fw_.reportAll()) {
-      total_cpu += r.cpu_samples;
-      total_profile += r.cpu_profile_samples;
+      total_cpu += r.cpu_profile_samples;
     }
-    u64 total_cpu_delta =
+    const u64 total_cpu_delta =
         has_last_total_cpu_ && total_cpu >= last_total_cpu_
             ? total_cpu - last_total_cpu_
             : 0;
-    u64 total_profile_delta =
-        has_last_total_cpu_ && total_profile >= last_total_profile_
-            ? total_profile - last_total_profile_
-            : 0;
     last_total_cpu_ = total_cpu;
-    last_total_profile_ = total_profile;
     has_last_total_cpu_ = true;
-    // Prefer the safepoint-biased sampling profiler when it actually
-    // sampled this interval (obs/profiler.h); a disabled or idle profiler
-    // leaves total_profile_delta at 0 and the legacy sampler carries A6
-    // detection exactly as before.
-    const bool cpu_from_profiler = total_profile_delta > 0;
-    if (cpu_from_profiler) total_cpu_delta = total_profile_delta;
 
     // Hung callers per isolate: threads some *other* isolate created,
     // currently blocked while migrated into this one (racy atomic reads;
@@ -283,8 +270,8 @@ std::vector<GovernorEvent> ResourceGovernor::tick() {
         const GovernorRule& rule = policy_.rules[i];
         auto hung_it = hung.find(b->isolate()->id);
         double hung_here = hung_it == hung.end() ? 0.0 : hung_it->second;
-        double observed = evaluate(rule, now, track, total_cpu_delta,
-                                   cpu_from_profiler, hung_here);
+        double observed =
+            evaluate(rule, now, track, total_cpu_delta, hung_here);
         int& strikes = track.strikes[i];
         const bool tripped = rule.fire_below ? observed <= rule.threshold
                                              : observed > rule.threshold;
@@ -302,6 +289,7 @@ std::vector<GovernorEvent> ResourceGovernor::tick() {
         ev.rule_label = rule.label.empty() ? signalName(rule.signal) : rule.label;
         ev.observed = observed;
         ev.threshold = rule.threshold;
+        ev.samples = rule.signal == Signal::CpuShare ? total_cpu_delta : 0;
         ev.strikes = strikes;
         ev.action = rule.action;
         ev.acted = strikes >= rule.strikes_to_act;
@@ -324,7 +312,7 @@ std::vector<GovernorEvent> ResourceGovernor::tick() {
       track.last_jit_churn =
           evaluate(GovernorRule{Signal::JitChurnRate, 0.0, 1,
                                 GovernorAction::Warn, "churn"},
-                   now, track, total_cpu_delta, cpu_from_profiler, 0.0);
+                   now, track, total_cpu_delta, 0.0);
       track.last = now;
       track.has_last = true;
     }
@@ -414,6 +402,29 @@ std::string ResourceGovernor::adminSnapshot() {
     if (it == tracks_.end()) continue;
     out += strf("  %3d  %-18s %14.1f\n", b->id(), b->symbolicName().c_str(),
                 it->second.last_jit_churn);
+  }
+  // The newest decisions with the numbers behind them; `samples` is the
+  // CPU-sample total a CpuShare share was computed over ("-" otherwise).
+  constexpr size_t kRecentEvents = 8;
+  const size_t first =
+      history_.size() > kRecentEvents ? history_.size() - kRecentEvents : 0;
+  if (first < history_.size()) {
+    out += strf("  recent events:\n  %6s  %-18s %-14s %-11s %13s %13s %8s "
+                "%7s\n",
+                "tick", "bundle", "rule", "action", "observed", "threshold",
+                "samples", "strikes");
+  }
+  for (size_t i = first; i < history_.size(); ++i) {
+    const GovernorEvent& ev = history_[i];
+    const std::string samples =
+        ev.signal == Signal::CpuShare
+            ? strf("%llu", static_cast<unsigned long long>(ev.samples))
+            : "-";
+    out += strf("  %6llu  %-18s %-14s %-11s %13.3f %13.3f %8s %7d%s\n",
+                static_cast<unsigned long long>(ev.tick),
+                ev.bundle_name.c_str(), ev.rule_label.c_str(),
+                actionName(ev.action), ev.observed, ev.threshold,
+                samples.c_str(), ev.strikes, ev.acted ? " acted" : "");
   }
   return out;
 }

@@ -43,7 +43,8 @@ enum class Signal : u8 {
                      // this bundle -- the A7 symptom (a service call never
                      // returns); a bundle sleeping on its own threads is fine
   // -- rate signals (per tick) --
-  CpuShare,          // sampler ticks in this bundle / all sampler ticks, 0..1
+  CpuShare,          // profiler samples in this bundle / all profiler
+                     // samples (cpu_profile_samples deltas), 0..1
   GcRate,            // GC activations triggered by the bundle per tick
   AllocRate,         // objects allocated per tick
   AllocBytesRate,    // bytes allocated per tick
@@ -146,6 +147,10 @@ struct GovernorEvent {
   std::string rule_label;
   double observed = 0.0;
   double threshold = 0.0;
+  // CpuShare only: the tick's platform-wide CPU-sample delta `observed`
+  // is a share of (0 for every other signal). A share computed from a
+  // handful of samples is noise; this makes such a verdict visible.
+  u64 samples = 0;
   int strikes = 0;
   GovernorAction action = GovernorAction::Warn;
   bool acted = false;
@@ -192,14 +197,11 @@ class ResourceGovernor {
     std::unordered_map<size_t, int> strikes;  // rule index -> strike count
   };
 
-  // `profile_based` selects which CPU counter CpuShare reads: the sampling
-  // profiler's safepoint-biased samples (cpu_profile_samples) when the
-  // profiler produced any this tick, else the legacy wall-clock sampler
-  // (cpu_samples). Both are leaf-attributed per isolate, so the share
-  // semantics are identical -- only the clock differs.
+  // CpuShare reads the sampling profiler's cpu_profile_samples deltas
+  // against `total_cpu_delta`, their platform-wide sum over the tick.
   double evaluate(const GovernorRule& rule, const IsolateReport& now,
                   const BundleTrack& track, u64 total_cpu_delta,
-                  bool profile_based, double hung_callers) const;
+                  double hung_callers) const;
 
   Framework& fw_;
   GovernorPolicy policy_;
@@ -210,7 +212,6 @@ class ResourceGovernor {
   std::vector<GovernorEvent> history_;
   std::vector<i32> killed_;
   u64 last_total_cpu_ = 0;
-  u64 last_total_profile_ = 0;
   bool has_last_total_cpu_ = false;
 
   std::function<void(const GovernorEvent&)> on_kill_;

@@ -170,13 +170,9 @@ Object* copyOrTransfer(VM& vm, JThread* receiver, Isolate* sender,
   LocalRootScope roots(receiver);
   Isolate* recv_iso = receiver->current_isolate.load(std::memory_order_relaxed);
 
-  bool donate_enabled = false;
-#ifndef IJVM_DISABLE_ZERO_COPY
-  donate_enabled = vm.options().comm_zero_copy && vm.options().isolation &&
-                   sender != nullptr && sender != recv_iso;
-#else
-  (void)sender;
-#endif
+  const bool donate_enabled = vm.options().comm_zero_copy &&
+                              vm.options().isolation && sender != nullptr &&
+                              sender != recv_iso;
 
   // Donates `o` (leaf kinds only): re-keys it to the receiver and moves
   // its bytes from the sender's account to the receiver's. The decisive

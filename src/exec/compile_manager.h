@@ -19,14 +19,13 @@
 // mid-compile is simply dropped at install time. Adding compiler threads
 // does not touch this contract: only *builds* parallelize; installs stay
 // mutator-side. The workers themselves are not guest threads (like the
-// CPU sampler they never count as Running), so a long compile cannot
-// stall a stop-the-world.
+// profiler's sampler thread they never count as Running), so a long
+// compile cannot stall a stop-the-world.
 //
 // Worker 0 doubles as the cache's pressure-relief valve: when retired
 // (demoted/invalidated) code piles up past a fraction of the budget, it
 // runs an era-gated reclamation pass (code_cache.h; no stop-the-world).
 //
-// Compile the whole subsystem out with -DIJVM_DISABLE_BG_COMPILE;
 // background_compile=false keeps the synchronous drain (deterministic:
 // code is installed the moment the request is drained).
 #pragma once

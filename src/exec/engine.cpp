@@ -242,7 +242,6 @@ Value interpretQuickened(VM& vm, JThread* t, Frame& frame) {
   std::vector<Value>& locals = frame.locals;
   SafepointController& safepoints = vm.safepoints();
 
-#ifndef IJVM_DISABLE_FUSION
   const bool fusion_on = vm.options().fusion;
   // Promotion to the fusion tier (docs/execution-tiers.md): once hot,
   // rewrite the quickened stream a second time into superinstructions.
@@ -276,16 +275,6 @@ Value interpretQuickened(VM& vm, JThread* t, Frame& frame) {
   // wait; in-first-execution hot loops are promoted partially at the
   // back-edge batch flush below.)
   if (qc->warmed.load(std::memory_order_relaxed)) maybeFuse();
-#else
-  auto maybeFuse = [] {};
-  // QCode::warmed also gates tier-3 promotion, so it is maintained even
-  // with the fusion tier compiled out.
-  auto markWarm = [&]() {
-    if (!qc->warmed.load(std::memory_order_relaxed)) {
-      qc->warmed.store(true, std::memory_order_relaxed);
-    }
-  };
-#endif
 
   // Tier tag for the profiler's stack samples (obs/profiler.h): stamped
   // here and re-stamped wherever the tier changes mid-invocation (fusion
@@ -320,11 +309,7 @@ Value interpretQuickened(VM& vm, JThread* t, Frame& frame) {
       // new heat before it recompiles.
       const u64 hot = effectiveJitHotness(method);
       const bool fusion_settled =
-#ifndef IJVM_DISABLE_FUSION
           !fusion_on || qc->fusion_done.load(std::memory_order_relaxed);
-#else
-          true;
-#endif
       if (hot > vm.options().jit_threshold && fusion_settled) {
         enqueueForJit(vm, method);
         drainJitQueue(vm);
@@ -397,8 +382,6 @@ Value interpretQuickened(VM& vm, JThread* t, Frame& frame) {
     payoff_pre.t0 = payoffNowNs();
     payoff_pre.edges = &invocation_edges;
   }
-#endif
-#if !defined(IJVM_DISABLE_JIT) && !defined(IJVM_DISABLE_OSR)
   // On-stack replacement (docs/jit.md): at a back-edge batch flush a
   // method hot past jit_threshold compiles and the live frame transfers
   // into the compiled code without returning to the caller. osr_requested
@@ -475,7 +458,7 @@ Value interpretQuickened(VM& vm, JThread* t, Frame& frame) {
 // frame transfers into tier-3 compiled code. Returned/Unwound finish the
 // whole invocation right here; Deopt hands the frame back ready for the
 // interpreter at frame.pc and interpretation simply continues there.
-#if !defined(IJVM_DISABLE_JIT) && !defined(IJVM_DISABLE_OSR)
+#ifndef IJVM_DISABLE_JIT
 #define IJVM_MAYBE_OSR()                                                       \
   do {                                                                         \
     if (osr_on) {                                                              \

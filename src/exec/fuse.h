@@ -5,8 +5,7 @@
 // time: hot adjacent pairs/triples are collapsed into single fused opcodes
 // with dedicated direct-threaded handlers, cutting dispatch count and
 // operand-stack traffic on exactly the loops where interpretation cost
-// dominates (the paper's Figure-1 micro-benchmarks). Compile out the whole
-// tier with -DIJVM_DISABLE_FUSION; disable per VM with
+// dominates (the paper's Figure-1 micro-benchmarks). Disable per VM with
 // VmOptions::fusion = false.
 #pragma once
 

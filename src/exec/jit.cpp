@@ -1787,7 +1787,6 @@ std::unique_ptr<JitCode> buildJitCode(VM& vm, JMethod* m) {
       }
     }
   }
-#ifndef IJVM_DISABLE_OSR
   // Pass 3: OSR entry points, one per loop header (docs/jit.md, "On-stack
   // replacement"). A back-edge target that heads a compiled thunk and has
   // a verified stack depth gets an entry thunk the interpreter can
@@ -1812,7 +1811,6 @@ std::unique_ptr<JitCode> buildJitCode(VM& vm, JMethod* m) {
     e.thunk.target = &jc->code[static_cast<size_t>(slot)];
     e.entry.store(&e.thunk, std::memory_order_relaxed);
   }
-#endif  // IJVM_DISABLE_OSR
 
   jc->entry.store(jc->code.data(), std::memory_order_release);
   jc->approx_bytes = jitCodeFootprint(*jc);
@@ -1931,7 +1929,7 @@ bool runJitOsr(VM& vm, JThread* t, Frame& frame, JitCode& jc, JitResult* out) {
 
 bool tryOsr(VM& vm, JThread* t, Frame& frame, QCode& qc, bool& requested,
             JitResult* out) {
-#if defined(IJVM_DISABLE_JIT) || defined(IJVM_DISABLE_OSR)
+#ifdef IJVM_DISABLE_JIT
   (void)vm;
   (void)t;
   (void)frame;
@@ -1979,7 +1977,7 @@ bool tryOsr(VM& vm, JThread* t, Frame& frame, QCode& qc, bool& requested,
   // cycle -- docs/jit.md).
   requested = false;
   return runJitOsr(vm, t, frame, *jc, out);
-#endif  // IJVM_DISABLE_JIT || IJVM_DISABLE_OSR
+#endif  // IJVM_DISABLE_JIT
 }
 
 JitResult runJit(VM& vm, JThread* t, Frame& frame, JitCode& jc) {
@@ -2099,7 +2097,6 @@ void enqueueForJit(VM& vm, JMethod* m) {
     }
   }
   ExecState& st = engineState(vm);
-#ifndef IJVM_DISABLE_BG_COMPILE
   if (vm.options().background_compile) {
     // Hand the request to the compiler thread (docs/jit.md, "Code
     // lifecycle"): the mutator keeps running the fused tier and installs
@@ -2115,7 +2112,6 @@ void enqueueForJit(VM& vm, JMethod* m) {
     mgr->enqueue(m);
     return;
   }
-#endif  // IJVM_DISABLE_BG_COMPILE
   std::lock_guard<std::mutex> lock(st.mutex);
   st.jit_queue.push_back(m);
   st.jit_pending.store(true, std::memory_order_release);

@@ -105,7 +105,7 @@ void registerVmMetrics(MetricsRegistry* reg, VM& vm) {
              "Live guest threads created by the isolate", MetricType::Gauge,
              [](const Isolate& i) { return rl(i.stats.live_threads); });
   perIsolate(reg, vm, "ijvm_isolate_cpu_samples_total",
-             "Wall-clock sampler ticks attributed to the isolate",
+             "Profiler ticks that found a thread running in the isolate",
              MetricType::Counter,
              [](const Isolate& i) { return rl(i.stats.cpu_samples); });
   perIsolate(reg, vm, "ijvm_isolate_cpu_profile_samples_total",

@@ -59,8 +59,6 @@ const char* threadKindName(SampleThreadKind k) {
   return "?";
 }
 
-#ifndef IJVM_DISABLE_PROFILER
-
 // ---- never-reset name interner ----------------------------------------
 //
 // Process-wide (not per-Profiler): JMethod::profile_name_id caches ids on
@@ -427,7 +425,7 @@ void Profiler::selfSample(JThread* t) {
   }
 
   // Leaf-frame isolate: library code charges its caller, exactly like the
-  // wall-clock sampler's current_isolate attribution.
+  // tick's current_isolate attribution of cpu_samples.
   Isolate* iso = t->frameAt(n - 1).isolate;
   if (iso == nullptr) iso = t->current_isolate.load(std::memory_order_relaxed);
   p.isolate = iso != nullptr ? iso->id : -1;
@@ -475,10 +473,17 @@ void Profiler::tickOnce() {
   const u64 ts = monoNowNs();
 
   // 1. Request a self-sample from every Running guest thread (one
-  //    relaxed store; at most one outstanding request per thread).
-  s.vm.forEachThread([](JThread& t) {
+  //    relaxed store; at most one outstanding request per thread), and
+  //    charge the section-3.2 CPU sample to the isolate it runs in.
+  const bool accounting = s.vm.options().accounting;
+  s.vm.forEachThread([accounting](JThread& t) {
     if (t.state.load(std::memory_order_acquire) != ThreadState::Running) {
       return;  // blocked/dead threads burn no CPU
+    }
+    if (accounting) {
+      if (Isolate* iso = t.current_isolate.load(std::memory_order_relaxed)) {
+        iso->stats.cpu_samples.fetch_add(1, std::memory_order_relaxed);
+      }
     }
     const u32 req = t.profile_requests.load(std::memory_order_relaxed);
     if (req == t.profile_taken.load(std::memory_order_relaxed)) {
@@ -710,7 +715,5 @@ ProfileActivityScope::ProfileActivityScope(VM& vm, SampleThreadKind kind,
 ProfileActivityScope::~ProfileActivityScope() {
   if (profiler_ != nullptr) profiler_->activityEnd(slot_);
 }
-
-#endif  // IJVM_DISABLE_PROFILER
 
 }  // namespace ijvm::obs

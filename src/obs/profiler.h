@@ -32,9 +32,12 @@
 // newest. Aggregation (folded stacks, the CPU-attribution report table,
 // per-isolate share counters) happens entirely on the reader side.
 //
-// Everything compiles out under -DIJVM_DISABLE_PROFILER: the Profiler
-// becomes an inert stub, the poll-site check macro expands to nothing,
-// and the exporters return empty (but well-formed) output.
+// The tick is also the paper's section-3.2 CPU sampler: while it visits
+// every Running guest thread it charges one cpu_samples tick to that
+// thread's current isolate (with VmOptions::accounting). That counter is
+// wall-clock and unbiased by safepoints; cpu_profile_samples is the
+// poll-site-biased count published with each stack sample. This is the
+// VM's only sampler thread; VmOptions::profile_hz = 0 turns both off.
 #pragma once
 
 #include <string>
@@ -88,8 +91,6 @@ struct ProfileSample {
   std::vector<SampleTier> tiers;
 };
 
-#ifndef IJVM_DISABLE_PROFILER
-
 // Interns a frame/activity name. Unlike the trace interner this table is
 // never reset: ids are cached on JMethod records that outlive any
 // profiler reset, so a reset must not dangle them. Lock-taking -- cold
@@ -120,9 +121,10 @@ class Profiler {
   bool enabled() const;
 
   // One sampling pass: request a self-sample from every Running guest
-  // thread, sample active host-activity slots directly, roll the
-  // CPU-share window every kWindowTicks ticks. Called by the sampler
-  // thread each period; tests call it manually for determinism.
+  // thread and charge its current isolate one cpu_samples tick (with
+  // VmOptions::accounting), sample active host-activity slots directly,
+  // roll the CPU-share window every kWindowTicks ticks. Called by the
+  // sampler thread each period; tests call it manually for determinism.
   void tickOnce();
 
   // Ring capacity (slots) for rings created after the call; tests shrink
@@ -205,45 +207,5 @@ class ProfileActivityScope {
       }                                                                       \
     }                                                                         \
   } while (0)
-
-#else  // IJVM_DISABLE_PROFILER
-
-inline u32 profileNameId(const std::string&) { return 0; }
-inline std::string profileNameOf(u32) { return {}; }
-
-// Inert stub: the VM still owns one, every call is a no-op, exporters
-// return empty-but-well-formed output.
-class Profiler {
- public:
-  explicit Profiler(VM&) {}
-  void start(u32) {}
-  void stop() {}
-  void setEnabled(bool) {}
-  bool enabled() const { return false; }
-  void tickOnce() {}
-  void setRingCapacity(u32) {}
-  u64 totalSamples() const { return 0; }
-  u64 isolateSamples(i32) const { return 0; }
-  double cpuShare(i32) const { return 0.0; }
-  std::vector<ProfileSample> snapshot() { return {}; }
-  std::string dumpFoldedStacks() { return {}; }
-  std::string attributionSection() { return {}; }
-  void reset() {}
-  void selfSample(JThread*) {}
-  int activityBegin(SampleThreadKind, i32, const char*) { return -1; }
-  void activityEnd(int) {}
-  static constexpr u32 kWindowTicks = 32;
-};
-
-class ProfileActivityScope {
- public:
-  ProfileActivityScope(VM&, SampleThreadKind, i32, const char*) {}
-};
-
-#define IJVM_PROFILE_POLL(vmref, tptr) \
-  do {                                 \
-  } while (0)
-
-#endif  // IJVM_DISABLE_PROFILER
 
 }  // namespace ijvm::obs

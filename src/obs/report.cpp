@@ -46,8 +46,10 @@ std::string humanNs(u64 ns) {
 
 std::string isolateTable(const std::vector<IsolateReport>& reports) {
   std::string out;
-  // "prof-smpls" is the safepoint-biased sampling profiler's leaf count
-  // (obs/profiler.h); "cpu-smpls" stays the legacy wall-clock sampler.
+  // Both CPU columns come from the profiler tick (obs/profiler.h):
+  // "cpu-smpls" is the paper's section-3.2 charge (the running thread's
+  // current isolate, unbiased); "prof-smpls" is the safepoint-biased
+  // leaf count of the published stack samples.
   // "donated in/out" are the PR-8 ownership-transfer totals -- bytes whose
   // memory charge moved between bundles via transferGraph.
   out += strf("  %3s  %-18s %-11s %10s %10s %10s %10s %12s %8s %9s %10s %10s\n",

@@ -62,15 +62,14 @@ struct ResourceStats {
   // Collections *triggered by* this isolate's allocation activity.
   std::atomic<u64> gc_activations{0};
 
-  // Ticks attributed by the CPU sampler to threads currently running in
-  // this isolate.
+  // Paper section 3.2 CPU charge: profiler ticks (obs/profiler.h) that
+  // found a thread Running with this isolate as its current isolate.
   std::atomic<u64> cpu_samples{0};
 
   // Stack samples the sampling profiler (obs/profiler.h) attributed to
   // this isolate -- the leaf frame's isolate, so library code is charged
   // to its caller just like cpu_samples. The governor's Signal::CpuShare
-  // prefers deltas of this counter (safepoint-biased but stack-accurate)
-  // and falls back to cpu_samples when the profiler is off.
+  // reads deltas of this counter (safepoint-biased but stack-accurate).
   std::atomic<u64> cpu_profile_samples{0};
 
   // Threads currently blocked in Thread.sleep/Object.wait while executing

@@ -43,8 +43,8 @@ struct VmOptions {
   // Superinstruction fusion tier on top of the quickened engine
   // (src/exec/fuse.cpp, docs/execution-tiers.md): rewrite a hot method's
   // quickened stream a second time, collapsing hot adjacent pairs/triples
-  // into fused opcodes. Ignored by the classic engine; compile the tier
-  // out entirely with -DIJVM_DISABLE_FUSION.
+  // into fused opcodes. Ignored by the classic engine; false is the only
+  // way to turn the tier off.
   bool fusion = true;
   // Hotness (profile invocations + loop back-edges) a method must exceed
   // before its stream is fused. 0 fuses as soon as a completed first
@@ -62,8 +62,7 @@ struct VmOptions {
   // single-call hot loop -- is compiled at a back-edge batch flush and the
   // running frame transfers into the compiled code without returning to
   // the caller. Only meaningful with exec_engine == ExecEngine::Jit;
-  // compile the path out with -DIJVM_DISABLE_OSR (parity with the
-  // -DIJVM_DISABLE_JIT / -DIJVM_DISABLE_FUSION tier switches).
+  // false makes promotion entry-only.
   bool osr = true;
   // Background compilation (docs/jit.md, "Code lifecycle"): promote-to-JIT
   // requests are drained by a dedicated compiler thread
@@ -73,7 +72,7 @@ struct VmOptions {
   // keeps running the fused tier until the entry flips. false compiles
   // synchronously at the drain point (deterministic: code is installed the
   // moment the request is drained -- the configuration the tier tests
-  // pin). Compile the thread out entirely with -DIJVM_DISABLE_BG_COMPILE.
+  // pin; no compiler thread is ever started).
   bool background_compile = true;
   // Profile-driven payoff model (docs/jit.md, "Payoff"): promotion stops
   // being threshold-only. While a method approaches promotion the engine
@@ -121,8 +120,8 @@ struct VmOptions {
   // owners -- instead of deep-copied. Only affects graphs sent through
   // transferGraph (comm/serializer.h); ineligible nodes (shared structure,
   // interned strings, monitor-bearing or foreign-created objects) fall
-  // back to the copy path either way. Compile the fast path out entirely
-  // with -DIJVM_DISABLE_ZERO_COPY (transferGraph then always copies).
+  // back to the copy path either way. false makes transferGraph always
+  // copy.
   bool comm_zero_copy = true;
   // Frames coalesced per vectored channel send (ByteChannel::writev,
   // docs/comm.md "Batched sends"): senders buffer up to this many framed
@@ -144,17 +143,14 @@ struct VmOptions {
   // mode on an unprotected JVM). Applies in both modes.
   i32 host_thread_cap = 1024;
 
-  // CPU sampling period in microseconds; 0 disables the sampler thread
-  // (paper section 3.2: CPU time is charged by sampling the isolate
-  // reference of running threads).
-  i32 sampler_period_us = 1000;
-
   // Sampling-profiler rate in Hz (obs/profiler.h): stack samples with
-  // per-isolate CPU attribution, tier tags and flame-graph export. 0
-  // disables the sampler thread (manual Profiler::tickOnce still works --
-  // the deterministic mode the tests drive). 97 rather than 100 so the
-  // sampler cannot phase-lock with millisecond-periodic guest behaviour.
-  // Ignored under -DIJVM_DISABLE_PROFILER.
+  // per-isolate CPU attribution, tier tags and flame-graph export. The
+  // same tick is the paper's section-3.2 CPU sampler: with `accounting`
+  // it charges cpu_samples to the isolate of every Running thread. 0
+  // disables the VM's only sampler thread (manual Profiler::tickOnce
+  // still works -- the deterministic mode the tests drive). 97 rather
+  // than 100 so the sampler cannot phase-lock with millisecond-periodic
+  // guest behaviour.
   u32 profile_hz = 97;
 
   // Mutator thread pool (src/runtime/mutator_pool.h, docs/concurrency.md):
@@ -174,7 +170,6 @@ struct VmOptions {
     VmOptions o;
     o.isolation = false;
     o.accounting = false;
-    o.sampler_period_us = 0;
     o.profile_hz = 0;  // baseline JVM: no attribution machinery running
     return o;
   }

@@ -81,9 +81,6 @@ VM::VM(VmOptions options)
   if (options_.verify) {
     registry_.setVerifyHook([](const JClass& cls) { verifyClass(cls); });
   }
-  if (options_.sampler_period_us > 0 && options_.accounting) {
-    sampler_ = std::thread([this] { samplerLoop(); });
-  }
   profiler_ = std::make_unique<obs::Profiler>(*this);
   if (options_.profile_hz > 0) profiler_->start(options_.profile_hz);
 }
@@ -106,8 +103,6 @@ VM::~VM() {
   // and the class registry, both of which outlive the extension table that
   // owns it, but joining here keeps teardown ordering obvious.
   exec::shutdownCompileManager(*this);
-  sampler_stop_.store(true, std::memory_order_release);
-  if (sampler_.joinable()) sampler_.join();
   // Join spawned guest threads (they unwind via force_kill).
   std::vector<JThread*> spawned;
   {
@@ -899,26 +894,6 @@ std::shared_ptr<void> VM::getExtension(const std::string& key) {
   std::lock_guard<std::mutex> lock(ext_mutex_);
   auto it = extensions_.find(key);
   return it == extensions_.end() ? nullptr : it->second;
-}
-
-// ---- CPU sampler ----
-
-void VM::samplerLoop() {
-  // Paper section 3.2 ("CPU time"): instead of timing every inter-isolate
-  // call (two syscalls + a lock), regularly sample the isolate reference of
-  // running threads.
-  const auto period = std::chrono::microseconds(options_.sampler_period_us);
-  while (!sampler_stop_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(period);
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    for (auto& t : threads_) {
-      if (t->state.load(std::memory_order_acquire) != ThreadState::Running) continue;
-      Isolate* iso = t->current_isolate.load(std::memory_order_relaxed);
-      if (iso != nullptr) {
-        iso->stats.cpu_samples.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
 }
 
 }  // namespace ijvm

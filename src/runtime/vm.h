@@ -125,8 +125,8 @@ class VM {
   void forEachThread(const std::function<void(JThread&)>& fn);
 
   // ---- sampling profiler (obs/profiler.h) ----
-  // Never null after construction (an inert stub under
-  // -DIJVM_DISABLE_PROFILER); the sampler thread runs only when
+  // Never null after construction; its sampler thread -- the VM's only
+  // one, which also charges the section-3.2 cpu_samples -- runs only when
   // options().profile_hz > 0.
   obs::Profiler* profiler() { return profiler_.get(); }
 
@@ -244,7 +244,6 @@ class VM {
  private:
   friend struct NativeCtx;
 
-  void samplerLoop();
   void enumerateRoots(const RootSink& sink);
   // Checks per-isolate + global memory limits before/after an allocation of
   // `bytes`; may force a GC; returns false after throwing OutOfMemoryError.
@@ -280,9 +279,6 @@ class VM {
   std::atomic<u64> inter_isolate_calls_{0};
   std::atomic<i64> live_spawned_threads_{0};
   std::atomic<bool> shutting_down_{false};
-
-  std::thread sampler_;
-  std::atomic<bool> sampler_stop_{false};
 
   std::mutex pool_mutex_;  // guards lazy pool creation
   std::unique_ptr<MutatorPool> mutator_pool_;

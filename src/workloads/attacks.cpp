@@ -89,7 +89,6 @@ struct Platform {
     if (isolated) {
       opts.isolate_memory_limit = 6u << 20;
       opts.isolate_thread_limit = 8;
-      opts.sampler_period_us = 500;
     }
     if (tweak) tweak(opts);
     vm = std::make_unique<VM>(opts);

@@ -488,9 +488,6 @@ TEST(CodeCache, ChurnyMultiBundleWorkloadStaysBounded) {
 
 TEST(CodeCache, BackgroundCompileInstallsAtDrainPoint) {
   IJVM_REQUIRE_JIT();
-#ifdef IJVM_DISABLE_BG_COMPILE
-  GTEST_SKIP() << "built with IJVM_DISABLE_BG_COMPILE";
-#else
   VmOptions opts = cacheOptions(/*budget=*/0);
   opts.background_compile = true;
   CacheVm f(opts);
@@ -513,7 +510,6 @@ TEST(CodeCache, BackgroundCompileInstallsAtDrainPoint) {
   EXPECT_GE(stats.background_compiles, 1u);
   // And the installed code actually runs.
   EXPECT_EQ(f.call("app/T", "f", 1000), goldenSum(1000));
-#endif
 }
 
 TEST(CodeCache, PostDeoptRecompileRequestsSurfaceInResourceStats) {

@@ -284,19 +284,11 @@ TEST_F(DonationFixture, SeededGraphsAreIdenticalWithDonationOnAndOff) {
     EXPECT_EQ(on.receiver_objects, off.receiver_objects);
     donated_total += on.stats.objects_donated;
   }
-#ifdef IJVM_DISABLE_ZERO_COPY
-  // Compile-out leg: the mode differential collapses to copy-vs-copy.
-  EXPECT_EQ(donated_total, 0u);
-#else
   // The harness must actually exercise donation, not just the fallback.
   EXPECT_GT(donated_total, 0u);
-#endif
 }
 
 TEST_F(DonationFixture, DonatedBuffersAreGcScannedInTheReceiversHeap) {
-#ifdef IJVM_DISABLE_ZERO_COPY
-  GTEST_SKIP() << "zero-copy donation compiled out";
-#endif
   boot(/*zero_copy=*/true);
   Object* donated_arr = nullptr;
   GlobalRef* kept = nullptr;
@@ -340,9 +332,6 @@ TEST_F(DonationFixture, DonationMovesTheMemoryLimitCharge) {
   // A sender at its memory limit sheds bytes by donating; the receiver
   // inherits them immediately -- before any accounting pass re-derives the
   // charges (vm.cpp checkMemoryLimits folds donated_bytes_delta in).
-#ifdef IJVM_DISABLE_ZERO_COPY
-  GTEST_SKIP() << "zero-copy donation compiled out";
-#endif
   boot(/*zero_copy=*/true);
   iso_s->memory_limit = 64 * 1024;
   iso_r->memory_limit = 64 * 1024;
@@ -434,15 +423,9 @@ TEST_F(DonationFixture, IneligibleNodesFallBackToCopy) {
   Object* got4 = transferGraph(*vm, recv_t, iso_s, n, &s4);
   ASSERT_NE(got4, nullptr);
   EXPECT_NE(got4, n);
-#ifdef IJVM_DISABLE_ZERO_COPY
-  EXPECT_NE(got4->fields()[payload_f->slot].asRef(), arr);
-  EXPECT_EQ(s4.objects_donated, 0u);
-  EXPECT_EQ(s4.objects_copied, 2u);  // node and payload both copy
-#else
   EXPECT_EQ(got4->fields()[payload_f->slot].asRef(), arr);
   EXPECT_EQ(s4.objects_donated, 1u);  // the int[]; label/left/right are null
   EXPECT_EQ(s4.objects_copied, 1u);   // the d/Node itself
-#endif
 }
 
 TEST_F(DonationFixture, ZeroCopyOffNeverDonates) {
@@ -460,6 +443,22 @@ TEST_F(DonationFixture, ZeroCopyOffNeverDonates) {
   EXPECT_EQ(iso_r->stats.objects_donated_in.load(), 0u);
   EXPECT_EQ(iso_s->stats.donated_bytes_delta.load(), 0);
   EXPECT_EQ(iso_r->stats.donated_bytes_delta.load(), 0);
+
+  // An eligible leaf under a plain object copies too: node and payload
+  // both arrive as fresh objects.
+  Object* n = roots.add(vm->allocObject(send_t, node_cls));
+  ASSERT_NE(n, nullptr);
+  Object* payload = roots.add(
+      vm->allocArrayObject(send_t, vm->registry().arrayClass("[I"), 8));
+  ASSERT_NE(payload, nullptr);
+  n->fields()[payload_f->slot] = Value::ofRef(payload);
+  TransferStats s2;
+  Object* got2 = transferGraph(*vm, recv_t, iso_s, n, &s2);
+  ASSERT_NE(got2, nullptr);
+  EXPECT_NE(got2, n);
+  EXPECT_NE(got2->fields()[payload_f->slot].asRef(), payload);
+  EXPECT_EQ(s2.objects_donated, 0u);
+  EXPECT_EQ(s2.objects_copied, 2u);
 }
 
 // ---- graph depth and width never reach the host stack ----

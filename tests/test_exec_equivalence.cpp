@@ -851,15 +851,11 @@ TEST_P(RandomTierDifferential, MatchesClassicUnderRandomTierConfig) {
     EXPECT_EQ(classic.sender_objects, run.sender_objects);
     EXPECT_EQ(classic.receiver_objects, run.receiver_objects);
     EXPECT_EQ(classic.donated_out, 0u);
-#ifdef IJVM_DISABLE_ZERO_COPY
-    EXPECT_EQ(run.donated_out, 0u);
-#else
     if (cfg.comm_zero_copy) {
       EXPECT_GT(run.donated_out, 0u);
     } else {
       EXPECT_EQ(run.donated_out, 0u);
     }
-#endif
   }
 
   // Workloads cycle deterministically so the 200 configs spread across all
@@ -928,6 +924,27 @@ TEST_P(RandomTierDifferential, MatchesClassicUnderRandomTierConfig) {
 
 INSTANTIATE_TEST_SUITE_P(SeededConfigs, RandomTierDifferential,
                          ::testing::Range(0, kRandomConfigs));
+
+// The runtime switches are the only way to turn fusion, OSR, background
+// compilation and zero-copy donation off, so the fixed sweep above must
+// reach each off-state often enough to stand in for a dedicated build
+// (the tier axes only matter with tier 3 on).
+TEST(RandomTierDifferentialCoverage, SweepReachesEveryOffSwitch) {
+  int no_fusion = 0, no_osr = 0, no_background = 0, no_zero_copy = 0;
+  for (int index = 0; index < kRandomConfigs; ++index) {
+    const RandomTierConfig c =
+        configFromSeed(kSeedBase + static_cast<u64>(index));
+    no_fusion += c.jit && !c.fusion;
+    no_osr += c.jit && !c.osr;
+    no_background += c.jit && !c.background;
+    no_zero_copy += !c.comm_zero_copy;
+  }
+  constexpr int kMinPerAxis = 20;
+  EXPECT_GE(no_fusion, kMinPerAxis) << "jit && !fusion";
+  EXPECT_GE(no_osr, kMinPerAxis) << "jit && !osr";
+  EXPECT_GE(no_background, kMinPerAxis) << "jit && !background";
+  EXPECT_GE(no_zero_copy, kMinPerAxis) << "!comm_zero_copy";
+}
 
 // ---- the quickened stream itself: rewrites + disassembly ----
 

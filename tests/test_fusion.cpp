@@ -67,16 +67,7 @@ void defineLoopClass(ClassBuilder& cb) {
   m.bind(done).iload(1).ireturn();
 }
 
-// The fusion-behavior tests assert that streams *do* fuse, which the
-// -DIJVM_DISABLE_FUSION build compiles out by design.
-#ifdef IJVM_DISABLE_FUSION
-#define IJVM_REQUIRE_FUSION() GTEST_SKIP() << "built with IJVM_DISABLE_FUSION"
-#else
-#define IJVM_REQUIRE_FUSION() (void)0
-#endif
-
 TEST(Fusion, HotPairsAndTriplesFuse) {
-  IJVM_REQUIRE_FUSION();
   FusionVm f;
   {
     ClassBuilder cb("app/Loop");
@@ -110,7 +101,6 @@ TEST(Fusion, HotPairsAndTriplesFuse) {
 }
 
 TEST(Fusion, AloadGetfieldFusesAfterQuickening) {
-  IJVM_REQUIRE_FUSION();
   FusionVm f;
   {
     ClassBuilder cb("app/Box");
@@ -150,7 +140,6 @@ TEST(Fusion, AloadGetfieldFusesAfterQuickening) {
 }
 
 TEST(Fusion, BranchTargetIntoGroupMiddlePreventsFusion) {
-  IJVM_REQUIRE_FUSION();
   FusionVm f;
   {
     // The IADD of the ILOAD/ILOAD/IADD triple is itself a branch target
@@ -222,7 +211,6 @@ TEST(Fusion, OffSwitchesKeepStreamUnfused) {
 }
 
 TEST(Fusion, DefaultThresholdPromotesOnlyHotMethods) {
-  IJVM_REQUIRE_FUSION();
   VmOptions opts = VmOptions::isolated();  // default threshold (256)
   FusionVm f(opts);
   {
@@ -247,7 +235,6 @@ TEST(Fusion, DefaultThresholdPromotesOnlyHotMethods) {
 }
 
 TEST(Fusion, PartialFirstInvocationPassThenCompletePass) {
-  IJVM_REQUIRE_FUSION();
   FusionVm f;
   {
     ClassBuilder cb("app/Box");
@@ -312,7 +299,6 @@ TEST(Fusion, PartialFirstInvocationPassThenCompletePass) {
 }
 
 TEST(Fusion, RecursiveEntryDoesNotRetireStillQuickeningStream) {
-  IJVM_REQUIRE_FUSION();
   FusionVm f;
   {
     ClassBuilder cb("app/Box");

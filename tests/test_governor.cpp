@@ -28,7 +28,6 @@ struct GovernorPlatform {
     opts.gc_threshold = 512u << 10;
     opts.heap_limit = 64u << 20;
     opts.host_thread_cap = 48;
-    opts.sampler_period_us = 500;
     vm = std::make_unique<VM>(opts);
     installSystemLibrary(*vm);
     FrameworkOptions fopts;
@@ -85,15 +84,24 @@ TEST(GovernorTest, KillsCpuHog) {
   EXPECT_EQ(hog->state(), BundleState::Uninstalled);
   EXPECT_EQ(good->state(), BundleState::Active);
 
-  // The kill event names the CPU rule.
+  // The kill event names the CPU rule, and every CpuShare verdict records
+  // how many CPU samples its share was computed over.
   bool cpu_kill = false;
   for (const GovernorEvent& ev : gov.history()) {
+    if (ev.signal == Signal::CpuShare) {
+      EXPECT_GT(ev.samples, 0u) << "tick " << ev.tick;
+    } else {
+      EXPECT_EQ(ev.samples, 0u);
+    }
     if (ev.bundle_id == hog->id() && ev.acted &&
         ev.action == GovernorAction::Kill && ev.signal == Signal::CpuShare) {
       cpu_kill = true;
     }
   }
   EXPECT_TRUE(cpu_kill);
+  const std::string snap = gov.adminSnapshot();
+  EXPECT_NE(snap.find("samples"), std::string::npos) << snap;
+  EXPECT_NE(snap.find("cpuhog"), std::string::npos) << snap;
 }
 
 TEST(GovernorTest, KillsMemoryHog) {

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <functional>
+#include <regex>
 #include <thread>
 
 #include "admin/governor.h"
@@ -116,15 +117,11 @@ TEST(Jit, HotLoopCompilesToCallThreadedCode) {
   std::string dis = exec::disasmJit(f.vm, m);
   EXPECT_NE(dis.find("compiled call-threaded"), std::string::npos) << dis;
   EXPECT_NE(dis.find("-> t"), std::string::npos) << dis;
-#ifndef IJVM_DISABLE_FUSION
-  // With the fusion tier available, fused groups compile to single
-  // thunks and the arith+store peephole fires. (A -DIJVM_DISABLE_FUSION
-  // build compiles the unfused stream -- still call-threaded, just one
-  // thunk per instruction.)
+  // Fused groups compile to single thunks and the arith+store peephole
+  // fires (CompilesWithFusionDisabled covers the unfused stream).
   EXPECT_NE(dis.find("ILOAD_ILOAD_IF_ICMPGE_F"), std::string::npos) << dis;
   EXPECT_NE(dis.find("ILOAD_ILOAD_ARITH_ISTORE_J"), std::string::npos) << dis;
   EXPECT_NE(dis.find("IINC_GOTO_F"), std::string::npos) << dis;
-#endif
 
   // Compiled semantics stay exact across sizes (including the 0-trip loop).
   EXPECT_EQ(f.call("app/Loop", "f", "(I)I", {Value::ofInt(0)}).asInt(), 0);
@@ -168,6 +165,12 @@ TEST(Jit, CompilesWithFusionDisabled) {
   JMethod* m = f.method("app/Loop", "f", "(I)I");
   ASSERT_NE(m, nullptr);
   EXPECT_NE(exec::jitCodeOf(m), nullptr);
+  // No fused form reaches the compiled code: every thunk binds a plain
+  // quickened (or JIT-peephole) instruction, never a `*_F` superinstruction.
+  const std::string dis = exec::disasmJit(f.vm, m);
+  std::smatch fused;
+  EXPECT_FALSE(std::regex_search(dis, fused, std::regex(R"(\w+_F\b)")))
+      << "fused form " << fused.str() << " with fusion=false:\n" << dis;
   EXPECT_EQ(f.call("app/Loop", "f", "(I)I", {Value::ofInt(1000)}).asInt(),
             499500);
 }

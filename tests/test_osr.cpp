@@ -15,7 +15,9 @@
 //     OSR entries, and refuses re-entry;
 //   * PromoteJit-while-spinning promotion requests are idempotent per
 //     method (the governor-requeue regression fix);
-//   * the osr=false runtime switch keeps everything at the fused tier.
+//   * the osr=false runtime switch keeps everything at the fused tier,
+//     and makes promotion entry-only: a frame spinning in one call never
+//     transfers onto code compiled while it runs.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -35,10 +37,9 @@ namespace ijvm {
 namespace {
 
 // OSR-behavior tests assert that compilation happens mid-invocation, which
-// the -DIJVM_DISABLE_JIT and -DIJVM_DISABLE_OSR builds compile out.
-#if defined(IJVM_DISABLE_JIT) || defined(IJVM_DISABLE_OSR)
-#define IJVM_REQUIRE_OSR() \
-  GTEST_SKIP() << "built with IJVM_DISABLE_JIT or IJVM_DISABLE_OSR"
+// the -DIJVM_DISABLE_JIT build compiles out.
+#ifdef IJVM_DISABLE_JIT
+#define IJVM_REQUIRE_OSR() GTEST_SKIP() << "built with IJVM_DISABLE_JIT"
 #else
 #define IJVM_REQUIRE_OSR() (void)0
 #endif
@@ -143,14 +144,12 @@ TEST(Osr, FiresMidInvocationOnSingleHotCall) {
       << "the invocation should have transferred onto an OSR entry";
 
   // The tier transition is visible in the disassembly: OSR entry thunks
-  // per loop header, and (with fusion available) fused thunks -- the
-  // fused-interpreter -> compiled story of docs/jit.md.
+  // per loop header, and fused thunks -- the fused-interpreter ->
+  // compiled story of docs/jit.md.
   std::string dis = exec::disasmJit(f.vm, m);
   EXPECT_NE(dis.find("osr@pc"), std::string::npos) << dis;
   EXPECT_NE(dis.find("OSR_ENTRY"), std::string::npos) << dis;
-#ifndef IJVM_DISABLE_FUSION
   EXPECT_NE(dis.find("ILOAD_ILOAD_IF_ICMPGE_F"), std::string::npos) << dis;
-#endif
 
   // Later calls (now via the compiled entry) stay exact, 0-trip included.
   EXPECT_EQ(f.call("app/Loop", "f", "(I)I", {Value::ofInt(0)}).asInt(), 0);
@@ -411,8 +410,8 @@ TEST(Osr, GovernorPromoteJitWhileSpinningIsIdempotent) {
 }
 
 TEST(Osr, RuntimeSwitchOffStaysAtFusedTier) {
-  // Runs in every build flavor: with osr=false (or the path compiled out)
-  // a single hot call must finish in the interpreter tiers.
+  // Runs in every build flavor: with osr=false a single hot call must
+  // finish in the interpreter tiers.
   VmOptions opts = osrOptions();
   opts.osr = false;
   OsrVm f(opts);
@@ -440,6 +439,63 @@ TEST(Osr, RuntimeSwitchOffStaysAtFusedTier) {
             goldenSum(n));
   EXPECT_NE(exec::jitCodeOf(m), nullptr);
 #endif
+}
+
+TEST(Osr, RuntimeSwitchOffIsEntryOnlyForASpinningFrame) {
+  IJVM_REQUIRE_OSR();
+  // Entry-only promotion: with osr=false, a PromoteJit request for a
+  // bundle spinning inside one call still compiles the method at the next
+  // drain point (any method entry), but the running frame's back-edge
+  // flushes never transfer onto that code.
+  VmOptions opts = osrOptions();
+  opts.osr = false;
+  opts.jit_threshold = ~0ull;  // only the explicit request compiles
+  VM vm(opts);
+  installSystemLibrary(vm);
+  Framework fw(vm);
+  Bundle* b = fw.install(spinnerBundle());
+  fw.start(b);
+
+  JMethod* spin = vm.registry()
+                      .resolve(b->loader(), "sp/Main")
+                      ->findMethod("spinForever", "()I");
+  ASSERT_NE(spin, nullptr);
+  ASSERT_TRUE(waitUntil(5000, [&] {
+    return spin->profile_loop_edges.load() > 8192;
+  })) << "spinner never got going";
+
+  exec::enqueueLoaderForJit(vm, b->loader(), /*min_hotness=*/0);
+  // A method entry on another thread is the drain point.
+  ClassLoader* app = vm.registry().newLoader("app");
+  vm.createIsolate(app, "app");
+  {
+    ClassBuilder cb("app/Loop");
+    defineSumLoop(cb);
+    app->define(cb.build());
+  }
+  EXPECT_EQ(vm.callStaticIn(vm.mainThread(), app, "app/Loop", "f", "(I)I",
+                            {Value::ofInt(10)})
+                .asInt(),
+            goldenSum(10));
+  ASSERT_NE(exec::jitCodeOf(spin), nullptr)
+      << "the entry drain should have compiled the spinning method";
+
+  // Many more batch flushes (4096 edges each) run past the installed code.
+  const u64 edges = spin->profile_loop_edges.load();
+  ASSERT_TRUE(waitUntil(5000, [&] {
+    return spin->profile_loop_edges.load() > edges + 8 * 4096;
+  }));
+  exec::QCode* qc = qcodeOf(spin);
+  ASSERT_NE(qc, nullptr);
+  EXPECT_EQ(qc->osr_entries_taken.load(), 0u)
+      << "osr=false must not transfer a running frame";
+  EXPECT_EQ(spin->profile_invocations.load(), 1u);
+
+  fw.killBundle(b);
+  EXPECT_TRUE(waitUntil(5000, [&] {
+    return b->isolate()->stats.live_threads.load() == 0;
+  })) << "thread spinning in the interpreter survived termination";
+  vm.shutdownAllThreads();
 }
 
 // Regression for the ResourceStats observability item (ROADMAP): a

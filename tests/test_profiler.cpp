@@ -13,8 +13,9 @@
 //   * ring wrap keeps the newest samples; reset() forgets them;
 //   * host-activity slots (the GC/compiler bracket) attribute samples
 //     without guest frames;
-//   * the -DIJVM_DISABLE_PROFILER build keeps every entry point callable
-//     as a no-op.
+//   * the paper's section-3.2 CPU charge rides the same tick: exactly one
+//     cpu_samples per tick for a Running thread's current isolate, none
+//     for a Blocked thread, none with accounting off.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -38,19 +39,11 @@
 namespace ijvm {
 namespace {
 
-#ifdef IJVM_DISABLE_PROFILER
-#define IJVM_REQUIRE_PROFILER() \
-  GTEST_SKIP() << "built with IJVM_DISABLE_PROFILER"
-#else
-#define IJVM_REQUIRE_PROFILER() (void)0
-#endif
-
 // Deterministic profiler options: no sampler thread (ticks are driven
-// manually from guest natives), no wall-clock sampler noise.
+// manually from guest natives).
 VmOptions profOptions() {
   VmOptions opts = VmOptions::isolated();
   opts.profile_hz = 0;
-  opts.sampler_period_us = 0;
   return opts;
 }
 
@@ -97,7 +90,6 @@ struct ProfVm {
 };
 
 TEST(Profiler, DeterministicThreeToOneAttribution) {
-  IJVM_REQUIRE_PROFILER();
   ProfVm f;
   ClassLoader* a = f.boot("appA");
   ClassLoader* b = f.boot("appB");
@@ -150,8 +142,42 @@ TEST(Profiler, DeterministicThreeToOneAttribution) {
   EXPECT_NE(report.find("p/Work.work(I)V"), std::string::npos) << report;
 }
 
+// The section-3.2 fold: the tick that requests stack samples also charges
+// one cpu_samples to each Running thread's current isolate -- synchronously,
+// so the count is exact per tick, unlike the poll-site stack samples.
+TEST(Profiler, TickChargesOneCpuSamplePerRunningThread) {
+  ProfVm f;
+  ClassLoader* a = f.boot("appA");
+  ClassLoader* b = f.boot("appB");
+  Isolate* ia = f.vm.isolateById(0);
+  Isolate* ib = f.vm.isolateById(1);
+  // An attached thread outside guest code is Blocked: though its current
+  // isolate is appB, no tick may charge it.
+  JThread* idle = f.vm.attachThread("idle", ib);
+  ASSERT_EQ(idle->state.load(), ThreadState::Blocked);
+  for (int round = 0; round < 5; ++round) {
+    f.work(a, 3);
+    f.work(b, 1);
+  }
+  f.vm.profiler()->tickOnce();  // every thread Blocked: charges nothing
+  EXPECT_EQ(ia->stats.cpu_samples.load(), 15u);
+  EXPECT_EQ(ib->stats.cpu_samples.load(), 5u);
+  EXPECT_EQ(f.vm.reportFor(ia).cpu_samples, 15u);
+  f.vm.detachThread(idle);
+}
+
+TEST(Profiler, TickChargesNoCpuSamplesWithoutAccounting) {
+  VmOptions opts = profOptions();
+  opts.accounting = false;
+  ProfVm f(opts);
+  ClassLoader* a = f.boot("appA");
+  f.work(a, 6);
+  EXPECT_EQ(f.vm.isolateById(0)->stats.cpu_samples.load(), 0u);
+  // The stack samples themselves are not accounting.
+  EXPECT_GT(f.vm.profiler()->totalSamples(), 0u);
+}
+
 TEST(Profiler, FoldedStacksGoldenUnderClassicInterpreter) {
-  IJVM_REQUIRE_PROFILER();
   VmOptions opts = profOptions();
   opts.exec_engine = ExecEngine::Classic;  // deterministic @classic tags
   ProfVm f(opts);
@@ -190,7 +216,6 @@ TEST(Profiler, FoldedStacksGoldenUnderClassicInterpreter) {
 }
 
 TEST(Profiler, RingWrapKeepsNewestAndResetForgets) {
-  IJVM_REQUIRE_PROFILER();
   ProfVm f;
   obs::Profiler* prof = f.vm.profiler();
   prof->setRingCapacity(4);  // rings are created lazily at first publish
@@ -220,7 +245,6 @@ TEST(Profiler, RingWrapKeepsNewestAndResetForgets) {
 }
 
 TEST(Profiler, ActivitySlotsAttributeHostThreads) {
-  IJVM_REQUIRE_PROFILER();
   ProfVm f;
   obs::Profiler* prof = f.vm.profiler();
   {
@@ -246,7 +270,6 @@ TEST(Profiler, ActivitySlotsAttributeHostThreads) {
 }
 
 TEST(Profiler, DisabledGateDropsSamplesButAcksRequests) {
-  IJVM_REQUIRE_PROFILER();
   ProfVm f;
   obs::Profiler* prof = f.vm.profiler();
   prof->setEnabled(false);
@@ -263,7 +286,6 @@ TEST(Profiler, DisabledGateDropsSamplesButAcksRequests) {
 }
 
 TEST(Profiler, WindowRollEmitsChromeCounterTracks) {
-  IJVM_REQUIRE_PROFILER();
 #ifdef IJVM_DISABLE_TRACE
   GTEST_SKIP() << "built with IJVM_DISABLE_TRACE";
 #else
@@ -294,12 +316,8 @@ TEST(Profiler, WindowRollEmitsChromeCounterTracks) {
 TEST(Metrics, PrometheusExpositionCarriesVmFamilies) {
   ProfVm f;
   ClassLoader* loader = nullptr;
-#ifndef IJVM_DISABLE_PROFILER
   loader = f.boot("metr\"ics");  // exercises label escaping
   f.work(loader, 8);
-#else
-  (void)loader;
-#endif
 
   obs::MetricsRegistry reg;
   obs::registerVmMetrics(&reg, f.vm);
@@ -322,12 +340,10 @@ TEST(Metrics, PrometheusExpositionCarriesVmFamilies) {
   EXPECT_NE(text.find("ijvm_profiler_samples_total"), std::string::npos);
   EXPECT_NE(text.find("ijvm_compile_queue_depth"), std::string::npos);
 
-#ifndef IJVM_DISABLE_PROFILER
   // The quoted isolate name is escaped, and its profile samples surface.
   EXPECT_NE(text.find("isolate=\"metr\\\"ics\""), std::string::npos) << text;
   EXPECT_NE(text.find("ijvm_profiler_samples_total 8"), std::string::npos)
       << text;
-#endif
 }
 
 TEST(Metrics, CustomFamilyRendersInRegistrationOrder) {
@@ -391,10 +407,8 @@ std::string adminRequest(u16 port, const std::string& verb, bool* ok) {
 
 TEST(Metrics, AdminSocketServesPingMetricsAndProfile) {
   ProfVm f;
-#ifndef IJVM_DISABLE_PROFILER
   ClassLoader* loader = f.boot("admin");
   f.work(loader, 4);
-#endif
 
   obs::AdminServer server(f.vm, 0);  // ephemeral localhost port
   ASSERT_TRUE(server.ok());
@@ -411,10 +425,8 @@ TEST(Metrics, AdminSocketServesPingMetricsAndProfile) {
 
   const std::string profile = adminRequest(server.port(), "profile", &ok);
   EXPECT_TRUE(ok);
-#ifndef IJVM_DISABLE_PROFILER
   EXPECT_NE(profile.find("admin;mutator;p/Work.work(I)V"), std::string::npos)
       << profile;
-#endif
 
   const std::string report = adminRequest(server.port(), "report", &ok);
   EXPECT_TRUE(ok);
@@ -424,29 +436,6 @@ TEST(Metrics, AdminSocketServesPingMetricsAndProfile) {
   EXPECT_TRUE(ok);
   EXPECT_NE(err.find("unknown verb"), std::string::npos);
 }
-
-#ifdef IJVM_DISABLE_PROFILER
-TEST(Profiler, DisabledBuildIsInert) {
-  ProfVm f;
-  obs::Profiler* prof = f.vm.profiler();
-  ASSERT_NE(prof, nullptr);
-  prof->start(97);
-  prof->tickOnce();
-  prof->setEnabled(true);
-  EXPECT_FALSE(prof->enabled());
-  EXPECT_EQ(prof->totalSamples(), 0u);
-  EXPECT_TRUE(prof->snapshot().empty());
-  EXPECT_EQ(prof->dumpFoldedStacks(), "");
-  EXPECT_EQ(prof->attributionSection(), "");
-  prof->stop();
-  {
-    obs::ProfileActivityScope act(f.vm, obs::SampleThreadKind::Gc, -1, "gc");
-  }
-  // The poll macro compiles to nothing; the report still renders.
-  EXPECT_NE(obs::platformReport(f.vm).find("I-JVM platform report"),
-            std::string::npos);
-}
-#endif
 
 }  // namespace
 }  // namespace ijvm

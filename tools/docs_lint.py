@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Docs lint for README.md and docs/*.md.
 
-Three checks, all over markdown inline links ([text](target)):
+Four checks. The first three are over markdown inline links
+([text](target)):
 
 1. Broken relative links: a target that is not an external URL must
    resolve (relative to the linking file) to an existing path.
@@ -12,6 +13,10 @@ Three checks, all over markdown inline links ([text](target)):
 3. Reachability: every docs/*.md file must be reachable from README.md
    by following relative markdown links (transitively). An orphaned doc
    is a doc nobody can find.
+4. Stale build switches: every IJVM_* name the docs mention (a macro,
+   a -D switch) must still appear under src/, tests/, bench/ or in
+   CMakeLists.txt, so a retired compile-time switch cannot linger in
+   the docs. A name ending in "_" (as in IJVM_DISABLE_*) is a prefix.
 
 Exits non-zero listing every violation.
 """
@@ -22,6 +27,8 @@ from pathlib import Path
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
+IJVM_NAME_RE = re.compile(r"IJVM_[A-Z0-9_]+")
+CODE_ROOTS = ("src", "tests", "bench")
 
 
 def github_anchor(text: str) -> str:
@@ -56,6 +63,37 @@ def anchors_of(md: Path, cache: dict) -> set:
         anchors.add(base if n == 0 else f"{base}-{n}")
     cache[md] = anchors
     return anchors
+
+
+def code_ijvm_names(repo_root: Path) -> set:
+    """Every IJVM_* identifier the build, sources, tests and benches use."""
+    paths = [repo_root / "CMakeLists.txt"]
+    for top in CODE_ROOTS:
+        paths.extend(p for p in (repo_root / top).rglob("*") if p.is_file())
+    names = set()
+    for p in paths:
+        if p.exists():
+            names.update(IJVM_NAME_RE.findall(p.read_text(errors="replace")))
+    return names
+
+
+def stale_switches(repo_root: Path, files: list) -> list:
+    known = code_ijvm_names(repo_root)
+    problems = []
+    for md in files:
+        if not md.exists():
+            continue
+        for lineno, line in enumerate(md.read_text().splitlines(), 1):
+            for name in IJVM_NAME_RE.findall(line):
+                if name in known or (
+                    name.endswith("_") and any(k.startswith(name) for k in known)
+                ):
+                    continue
+                problems.append(
+                    f"{md.relative_to(repo_root)}:{lineno}: {name} does not "
+                    f"appear in src/, tests/, bench/ or CMakeLists.txt"
+                )
+    return problems
 
 
 def lint(repo_root: Path) -> int:
@@ -120,6 +158,8 @@ def lint(repo_root: Path) -> int:
                 f"{doc.relative_to(repo_root)}: not reachable from README.md "
                 f"via markdown links (orphaned doc)"
             )
+
+    problems.extend(stale_switches(repo_root, files))
 
     for p in problems:
         print(p, file=sys.stderr)
