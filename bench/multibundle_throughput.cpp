@@ -15,8 +15,19 @@
 // and the time-to-stop histogram proves no stop-the-world grows with the
 // worker count (reclaimJitCode never parks the world; only the GCs do).
 //
+// A second, CPU-bound scenario measures allocation scaling: every task
+// runs a guest loop that does nothing but allocate small objects (short
+// chains, so most die young and the collector recycles their blocks).
+// With per-thread allocation caches the workers share no lock on that
+// path; what is left shared is the heap-wide and per-isolate counters and
+// the stop-the-world collections. Its rows report wall time, ns per
+// allocation (wall time over all allocations, so it falls as workers
+// scale) and the speedup over one worker. No gate: the ceiling is the
+// host's core count.
+//
 // Rows land in BENCH_exec.json alongside fig1_micro's: existing rows are
-// preserved, previous multibundle:* rows are replaced.
+// preserved, previous multibundle:* and multibundle-alloc:* rows are
+// replaced.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -128,6 +139,82 @@ RunResult runAt(u32 workers) {
   return res;
 }
 
+constexpr int kAllocTasksPerBundle = 2;
+constexpr int kAllocsPerTask = 50000;
+constexpr int kAllocReps = 3;
+
+// a<k>/Churn.run(I)I -- n allocations of a<k>/Node, each linked to the
+// previous one; every 64th drops the chain, so the live set stays small.
+BundleDescriptor allocBundle(const std::string& name, const std::string& pkg) {
+  BundleDescriptor desc;
+  desc.symbolic_name = name;
+  const std::string node = pkg + "/Node";
+  const std::string node_desc = "L" + node + ";";
+  ClassBuilder nb(node);
+  nb.field("next", node_desc);
+  nb.field("v", "I");
+  desc.classes.push_back(nb.build());
+  ClassBuilder cb(pkg + "/Churn");
+  auto& m = cb.method("run", "(I)I", ACC_PUBLIC | ACC_STATIC);
+  Label loop = m.newLabel(), keep = m.newLabel(), done = m.newLabel();
+  m.aconstNull().astore(1);
+  m.iconst(0).istore(2);
+  m.bind(loop).iload(2).iload(0).ifIcmpGe(done);
+  m.newDefault(node).astore(3);
+  m.aload(3).aload(1).putfield(node, "next", node_desc);
+  m.aload(3).astore(1);
+  m.iload(2).iconst(63).iand().ifne(keep);
+  m.aconstNull().astore(1);
+  m.bind(keep).iinc(2, 1).gotoLabel(loop);
+  m.bind(done).iload(2).ireturn();
+  desc.classes.push_back(cb.build());
+  return desc;
+}
+
+struct AllocResult {
+  i64 wall_ns = 0;
+  u64 allocs = 0;  // per timed rep
+  u64 gcs = 0;     // per timed rep, averaged
+};
+
+AllocResult runAllocAt(u32 workers) {
+  auto p = bootPlatform(/*isolated=*/true, ExecEngine::Jit,
+                        [workers](VmOptions& o) {
+                          o.mutator_threads = workers;
+                          o.gc_threshold = 8u << 20;  // the VM default
+                        });
+  VM& vm = *p->vm;
+  std::vector<Bundle*> bundles;
+  for (int k = 0; k < kBundles; ++k) {
+    Bundle* b = p->fw->install(allocBundle(strf("alloc%d", k), strf("a%d", k)));
+    p->fw->start(b);
+    bundles.push_back(b);
+  }
+  MutatorPool& pool = vm.mutatorPool();
+  auto lap = [&] {
+    for (int t = 0; t < kAllocTasksPerBundle; ++t) {
+      for (int k = 0; k < kBundles; ++k) {
+        Bundle* b = bundles[k];
+        const std::string cls = strf("a%d/Churn", k);
+        pool.submit(
+            [&vm, b, cls](JThread* jt) {
+              vm.callStaticIn(jt, b->loader(), cls, "run", "(I)I",
+                              {Value::ofInt(kAllocsPerTask)});
+            },
+            b->isolate());
+      }
+    }
+    pool.drain();
+  };
+  lap();  // warm-up: tiers settle, the block cache fills
+  const u64 gcs_before = vm.gcCount();
+  AllocResult res;
+  res.wall_ns = bestOf(kAllocReps, lap);
+  res.allocs = u64{kBundles} * kAllocTasksPerBundle * kAllocsPerTask;
+  res.gcs = (vm.gcCount() - gcs_before) / kAllocReps;
+  return res;
+}
+
 // Keep every existing BENCH_exec.json row except ours, then append ours:
 // fig1_micro owns the file's other rows and rewrites it wholesale, so
 // this bench must merge, not clobber.
@@ -137,7 +224,7 @@ void mergeInto(const std::string& path, const BenchJson& ours) {
   std::string line;
   while (std::getline(in, line)) {
     if (line.find("{\"name\": \"") == std::string::npos) continue;
-    if (line.find("\"multibundle:") != std::string::npos) continue;
+    if (line.find("\"multibundle") != std::string::npos) continue;
     if (line.back() == ',') line.pop_back();
     kept.push_back(line);
   }
@@ -199,6 +286,31 @@ int main() {
               "by construction)\n",
               speedup4);
   json.add("multibundle:speedup", {{"speedup_4w_vs_1w", speedup4}});
+
+  printHeader(strf("Allocation scaling: %d bundles x %d tasks x %d allocations, "
+                   "mutator pool at 1/2/4 workers",
+                   kBundles, kAllocTasksPerBundle, kAllocsPerTask)
+                  .c_str());
+  std::printf("%-8s %12s %14s %10s %8s\n", "workers", "wall ms", "ns/alloc",
+              "speedup", "GCs");
+  double alloc_t1_ms = 0.0;
+  for (u32 w : {1u, 2u, 4u}) {
+    AllocResult r = runAllocAt(w);
+    const double ms = static_cast<double>(r.wall_ns) / 1e6;
+    if (w == 1) alloc_t1_ms = ms;
+    const double speedup = ms > 0 ? alloc_t1_ms / ms : 0.0;
+    const double ns_per_alloc =
+        static_cast<double>(r.wall_ns) / static_cast<double>(r.allocs);
+    std::printf("%-8u %12.1f %14.1f %9.2fx %8llu\n", w, ms, ns_per_alloc, speedup,
+                static_cast<unsigned long long>(r.gcs));
+    json.add(strf("multibundle-alloc:w%u", w),
+             {{"wall_ms", ms},
+              {"ns_per_alloc", ns_per_alloc},
+              {"speedup_vs_w1", speedup},
+              {"allocs", static_cast<double>(r.allocs)},
+              {"gcs_per_rep", static_cast<double>(r.gcs)},
+              {"reps", static_cast<double>(kAllocReps)}});
+  }
   mergeInto(benchOutPath("BENCH_exec.json"), json);
   return speedup4 >= 2.5 ? 0 : 1;
 }

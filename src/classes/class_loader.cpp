@@ -93,6 +93,7 @@ JClass* ClassRegistry::link(ClassLoader* loader, ClassDef def) {
 
   // ---- field layout ----
   c->instance_slots = super != nullptr ? super->instance_slots : 0;
+  if (super != nullptr) c->instance_template = super->instance_template;
   c->static_slots = 0;
   for (const FieldDef& fd : def.fields) {
     JField f;
@@ -100,7 +101,12 @@ JClass* ClassRegistry::link(ClassLoader* loader, ClassDef def) {
     f.type = parseTypeDesc(fd.descriptor);
     f.flags = fd.flags;
     f.owner = c;
-    f.slot = f.isStatic() ? c->static_slots++ : c->instance_slots++;
+    if (f.isStatic()) {
+      f.slot = c->static_slots++;
+    } else {
+      f.slot = c->instance_slots++;
+      c->instance_template.push_back(Value::zeroOf(f.type.kind));
+    }
     c->fields.push_back(std::move(f));
   }
 

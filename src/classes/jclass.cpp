@@ -149,6 +149,7 @@ size_t JClass::metadataBytes() const {
     bytes += m.code.handlers.size() * sizeof(ExHandler);
   }
   bytes += vtable.size() * sizeof(JMethod*);
+  bytes += instance_template.size() * sizeof(Value);
   bytes += static_cast<size_t>(pool.size()) * sizeof(CpEntry);
   {
     std::lock_guard<std::mutex> lock(tcm_mutex_);

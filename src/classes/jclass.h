@@ -132,6 +132,10 @@ struct JClass {
   ConstantPool pool;
 
   i32 instance_slots = 0;  // including superclasses
+  // Typed zero value of every instance slot (size instance_slots), built
+  // at link time: Heap::allocPlain copies it instead of walking the class
+  // chain's field declarations per allocation.
+  std::vector<Value> instance_template;
   i32 static_slots = 0;    // declared statics only
   std::vector<JMethod*> vtable;
 

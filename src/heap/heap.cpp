@@ -35,31 +35,6 @@ const char* accountingPolicyName(AccountingPolicy p) {
   return "?";
 }
 
-void Object::traceRefs(const std::function<void(Object*)>& visit) {
-  switch (kind) {
-    case ObjKind::Plain: {
-      Value* f = fields();
-      const i32 n = cls != nullptr ? cls->instance_slots : 0;
-      for (i32 i = 0; i < n; ++i) {
-        if (f[i].kind == Kind::Ref && f[i].ref != nullptr) visit(f[i].ref);
-      }
-      break;
-    }
-    case ObjKind::ArrayRef: {
-      Object** elems = refElems();
-      for (i32 i = 0; i < length; ++i) {
-        if (elems[i] != nullptr) visit(elems[i]);
-      }
-      break;
-    }
-    case ObjKind::Native:
-      if (native() != nullptr) native()->trace(visit);
-      break;
-    default:
-      break;  // primitive arrays and strings hold no references
-  }
-}
-
 Heap::Heap(size_t gc_threshold) : gc_threshold_(gc_threshold) {
 #if IJVM_HEAP_BLOCK_CACHE
   // Retain up to two GC cycles' worth of churn, within sane bounds: enough
@@ -71,6 +46,11 @@ Heap::Heap(size_t gc_threshold) : gc_threshold_(gc_threshold) {
 }
 
 Heap::~Heap() {
+  // No thread allocates any more: splice and drain without locking.
+  for (AllocCache& c : caches_) {
+    spliceLocked(c);
+    drainStashLocked(c);
+  }
   Object* o = all_objects_;
   while (o != nullptr) {
     Object* next = o->gc_next;
@@ -82,6 +62,56 @@ Heap::~Heap() {
     bucket.clear();
   }
   cached_bytes_ = 0;
+}
+
+AllocCache* Heap::acquireCache() {
+  std::lock_guard<std::mutex> lock(caches_mutex_);
+  if (!free_caches_.empty()) {
+    AllocCache* c = free_caches_.back();
+    free_caches_.pop_back();
+    return c;
+  }
+  return &caches_.emplace_back();
+}
+
+void Heap::releaseCache(AllocCache* cache) {
+  std::lock_guard<std::mutex> reg(caches_mutex_);
+  std::lock_guard<std::mutex> own(cache->mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
+  spliceLocked(*cache);
+  drainStashLocked(*cache);
+  free_caches_.push_back(cache);
+}
+
+std::vector<std::unique_lock<std::mutex>> Heap::lockAndSplice(bool drain_stashes) {
+  // The registry stays locked too, so no cache can be handed out while the
+  // walk runs.
+  std::unique_lock<std::mutex> registry(caches_mutex_);
+  std::vector<std::unique_lock<std::mutex>> held;
+  held.reserve(caches_.size() + 2);
+  held.push_back(std::move(registry));
+  for (AllocCache& c : caches_) held.emplace_back(c.mutex_);
+  held.emplace_back(mutex_);
+  for (AllocCache& c : caches_) {
+    spliceLocked(c);
+    if (drain_stashes) drainStashLocked(c);
+  }
+  return held;
+}
+
+void Heap::spliceLocked(AllocCache& cache) {
+  if (cache.head_ == nullptr) return;
+  cache.tail_->gc_next = all_objects_;
+  all_objects_ = cache.head_;
+  cache.head_ = nullptr;
+  cache.tail_ = nullptr;
+}
+
+void Heap::drainStashLocked(AllocCache& cache) {
+  for (int b = 0; b < AllocCache::kStashBuckets; ++b) {
+    AllocCache::Stash& st = cache.stash_[static_cast<size_t>(b)];
+    while (st.count > 0) returnBlock(st.blocks[--st.count], b);
+  }
 }
 
 int Heap::bucketFor(size_t total) {
@@ -105,61 +135,124 @@ size_t Heap::bucketSize(int bucket) {
                     : static_cast<size_t>(bucket - 6) * 4096;
 }
 
-Object* Heap::allocRaw(JClass* cls, ObjKind kind, size_t payload_bytes, i32 length,
-                       i32 creator_isolate) {
-  const size_t total = sizeof(Object) + payload_bytes;
-  const int bucket = bucketFor(total);
-  void* mem = nullptr;
-  if (bucket >= 0) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<void*>& cache = block_cache_[static_cast<size_t>(bucket)];
-    if (!cache.empty()) {
-      mem = cache.back();
-      cache.pop_back();
-      cached_bytes_ -= bucketSize(bucket);
-      recycled_allocs_.fetch_add(1, std::memory_order_relaxed);
+void* Heap::popShared(int bucket) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<void*>& shared = block_cache_[static_cast<size_t>(bucket)];
+  if (shared.empty()) return nullptr;
+  void* mem = shared.back();
+  shared.pop_back();
+  cached_bytes_ -= bucketSize(bucket);
+  recycled_allocs_.fetch_add(1, std::memory_order_relaxed);
+  return mem;
+}
+
+void* Heap::popStash(AllocCache& cache, int bucket) {
+  AllocCache::Stash& st = cache.stash_[static_cast<size_t>(bucket)];
+  if (st.count == 0) {
+    // Refill: one mutex_ acquisition moves up to a batch of recycled
+    // blocks (the most recently freed on top); only when the shared bucket
+    // is empty does the batch come fresh from the system allocator.
+    const size_t size = bucketSize(bucket);
+    const size_t batch =
+        std::min(AllocCache::kStashMaxBlocks, AllocCache::kStashMaxBytes / size);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      std::vector<void*>& shared = block_cache_[static_cast<size_t>(bucket)];
+      const size_t n = std::min(batch, shared.size());
+      std::copy(shared.end() - static_cast<std::ptrdiff_t>(n), shared.end(),
+                st.blocks.begin());
+      shared.resize(shared.size() - n);
+      cached_bytes_ -= n * size;
+      recycled_allocs_.fetch_add(n, std::memory_order_relaxed);
+      st.count = static_cast<u32>(n);
+    }
+    if (st.count == 0) {
+      while (st.count < batch) {
+        void* mem = ::operator new(size, std::nothrow);
+        if (mem == nullptr) break;
+        st.blocks[st.count++] = mem;
+      }
+      if (st.count == 0) return nullptr;
+      // Hand them out in the order the allocator returned them (usually
+      // ascending addresses), as one-at-a-time allocation would: objects
+      // allocated together then sit in address order, which the hardware
+      // prefetcher follows both here and in the sweep's list walk.
+      std::reverse(st.blocks.begin(), st.blocks.begin() + st.count);
     }
   }
+  return st.blocks[--st.count];
+}
+
+Object* Heap::allocRaw(AllocCache* cache, JClass* cls, ObjKind kind,
+                       const void* payload, size_t payload_bytes,
+                       size_t extra_charge, i32 length, i32 creator_isolate) {
+  IJVM_CHECK(cache != nullptr, "allocation through a thread without an allocation cache");
+  AllocCache& c = *cache;
+  const size_t total = sizeof(Object) + payload_bytes;
+  const int bucket = bucketFor(total);
+  // The object is fully initialized before it is linked where a collector
+  // can see it (the sweep reads the header and the Native slot).
+  auto build = [&](void* mem) {
+    Object* obj = new (mem) Object();
+    obj->cls = cls;
+    obj->kind = kind;
+    obj->alloc_bucket = bucket >= 0 ? static_cast<u16>(bucket) : kNoBucket;
+    obj->length = length;
+    obj->byte_size = total + extra_charge;
+    obj->creator_isolate = creator_isolate;
+    obj->charged_isolate = creator_isolate;
+    if (payload != nullptr) {
+      std::memcpy(static_cast<void*>(obj + 1), payload, payload_bytes);
+    } else {
+      std::memset(static_cast<void*>(obj + 1), 0, payload_bytes);
+    }
+    return obj;
+  };
+  auto publish = [&](Object* obj) {  // caller holds c.mutex_
+    obj->gc_next = c.head_;
+    c.head_ = obj;
+    if (c.tail_ == nullptr) c.tail_ = obj;
+    const size_t bytes = obj->byte_size;
+    counters_.live_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    counters_.live_objects.fetch_add(1, std::memory_order_relaxed);
+    counters_.bytes_since_gc.fetch_add(bytes, std::memory_order_relaxed);
+    counters_.total_allocated.fetch_add(bytes, std::memory_order_relaxed);
+  };
+
+  if (bucket >= 0 && bucket < AllocCache::kStashBuckets) {
+    // Common path: only the thread's own cache lock, uncontended unless a
+    // collection is walking the caches.
+    std::lock_guard<std::mutex> lock(c.mutex_);
+    void* mem = popStash(c, bucket);
+    if (mem == nullptr) return nullptr;
+    Object* obj = build(mem);
+    publish(obj);
+    return obj;
+  }
+  // Larger (or, under ASan, every) object: its block comes from the shared
+  // cache or the system allocator, and is initialized outside any lock.
+  void* mem = bucket >= 0 ? popShared(bucket) : nullptr;
   if (mem == nullptr) {
     mem = ::operator new(bucket >= 0 ? bucketSize(bucket) : total, std::nothrow);
   }
   if (mem == nullptr) return nullptr;
-  std::memset(mem, 0, total);
-  Object* obj = new (mem) Object();
-  obj->cls = cls;
-  obj->kind = kind;
-  obj->alloc_bucket = bucket >= 0 ? static_cast<u16>(bucket) : kNoBucket;
-  obj->length = length;
-  obj->byte_size = total;
-  obj->creator_isolate = creator_isolate;
-  obj->charged_isolate = creator_isolate;
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  obj->gc_next = all_objects_;
-  all_objects_ = obj;
-  live_bytes_.fetch_add(total, std::memory_order_relaxed);
-  live_objects_.fetch_add(1, std::memory_order_relaxed);
-  bytes_since_gc_.fetch_add(total, std::memory_order_relaxed);
-  total_allocated_.fetch_add(total, std::memory_order_relaxed);
+  Object* obj = build(mem);
+  std::lock_guard<std::mutex> lock(c.mutex_);
+  publish(obj);
   return obj;
 }
 
-Object* Heap::allocPlain(JClass* cls, i32 creator_isolate) {
-  const size_t payload = static_cast<size_t>(cls->instance_slots) * sizeof(Value);
-  Object* obj = allocRaw(cls, ObjKind::Plain, payload, 0, creator_isolate);
-  if (obj == nullptr) return nullptr;
-  // Initialize fields to typed zero values (memset already made refs null;
-  // tags must still be set so the GC sees correct kinds).
-  Value* f = obj->fields();
-  for (JClass* c = cls; c != nullptr; c = c->super) {
-    for (const JField& fd : c->fields) {
-      if (!fd.isStatic()) f[fd.slot] = Value::zeroOf(fd.type.kind);
-    }
-  }
-  return obj;
+Object* Heap::allocPlain(JClass* cls, i32 creator_isolate, AllocCache* cache) {
+  // Fields start as the class's pre-zeroed template (typed zero values,
+  // built at link time), so the GC sees correct kinds from the start.
+  const size_t n = static_cast<size_t>(cls->instance_slots);
+  IJVM_CHECK(cls->instance_template.size() == n, "class has no field template");
+  return allocRaw(cache, cls, ObjKind::Plain, cls->instance_template.data(),
+                  n * sizeof(Value), 0, 0, creator_isolate);
 }
 
-Object* Heap::allocArray(JClass* array_cls, i32 length, i32 creator_isolate) {
+Object* Heap::allocArray(JClass* array_cls, i32 length, i32 creator_isolate,
+                         AllocCache* cache) {
   IJVM_CHECK(array_cls->is_array, "allocArray on non-array class");
   IJVM_CHECK(length >= 0, "negative array length reaches heap");
   ObjKind kind;
@@ -184,29 +277,26 @@ Object* Heap::allocArray(JClass* array_cls, i32 length, i32 creator_isolate) {
     default:
       IJVM_UNREACHABLE("bad array element kind");
   }
-  return allocRaw(array_cls, kind, elem_size * static_cast<size_t>(length), length,
-                  creator_isolate);
+  return allocRaw(cache, array_cls, kind, nullptr,
+                  elem_size * static_cast<size_t>(length), 0, length, creator_isolate);
 }
 
-Object* Heap::allocString(JClass* string_cls, std::string chars, i32 creator_isolate) {
-  Object* obj = allocRaw(string_cls, ObjKind::String, sizeof(std::string*), 0,
-                         creator_isolate);
-  if (obj == nullptr) return nullptr;
-  obj->strSlot() = new std::string(std::move(chars));
-  const size_t payload = obj->str().capacity();
-  obj->byte_size += payload;
-  live_bytes_.fetch_add(payload, std::memory_order_relaxed);
-  bytes_since_gc_.fetch_add(payload, std::memory_order_relaxed);
-  total_allocated_.fetch_add(payload, std::memory_order_relaxed);
+Object* Heap::allocString(JClass* string_cls, std::string chars, i32 creator_isolate,
+                          AllocCache* cache) {
+  // Header and character payload are charged in one counter update.
+  std::string* payload = new std::string(std::move(chars));
+  Object* obj = allocRaw(cache, string_cls, ObjKind::String, &payload,
+                         sizeof(payload), payload->capacity(), 0, creator_isolate);
+  if (obj == nullptr) delete payload;
   return obj;
 }
 
 Object* Heap::allocNative(JClass* cls, std::unique_ptr<NativePayload> payload,
-                          i32 creator_isolate) {
-  Object* obj =
-      allocRaw(cls, ObjKind::Native, sizeof(NativePayload*), 0, creator_isolate);
-  if (obj == nullptr) return nullptr;
-  obj->nativeSlot() = payload.release();
+                          i32 creator_isolate, AllocCache* cache) {
+  NativePayload* raw = payload.get();
+  Object* obj = allocRaw(cache, cls, ObjKind::Native, &raw, sizeof(raw), 0, 0,
+                         creator_isolate);
+  if (obj != nullptr) payload.release();
   return obj;
 }
 
@@ -234,24 +324,32 @@ void Heap::freeObject(Object* obj) {
   const u16 bucket = obj->alloc_bucket;
   obj->~Object();
   if (bucket != kNoBucket) {
-    const size_t block = bucketSize(bucket);
-    if (cached_bytes_ + block <= cache_cap_bytes_) {
-      block_cache_[bucket].push_back(obj);
-      cached_bytes_ += block;
-      return;
-    }
+    returnBlock(obj, bucket);
+  } else {
+    ::operator delete(obj);
   }
-  ::operator delete(obj);
+}
+
+void Heap::returnBlock(void* mem, int bucket) {
+  const size_t block = bucketSize(bucket);
+  if (cached_bytes_ + block <= cache_cap_bytes_) {
+    block_cache_[static_cast<size_t>(bucket)].push_back(mem);
+    cached_bytes_ += block;
+    return;
+  }
+  ::operator delete(mem);
 }
 
 void Heap::forEachObject(const std::function<void(Object*)>& fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  const auto held = lockAndSplice(/*drain_stashes=*/false);
   for (Object* o = all_objects_; o != nullptr; o = o->gc_next) fn(o);
 }
 
 GcStats Heap::collect(const RootEnumerator& enumerate_roots,
                       AccountingPolicy policy) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  // Every cache stays locked for the whole walk, so a Blocked thread's
+  // allocation cannot interleave with it and the counters hold still.
+  const auto held = lockAndSplice(/*drain_stashes=*/true);
   GcStats stats;
 
   auto charge = [&stats, this](Object* o, i32 iso, size_t share_of = 1) {
@@ -291,7 +389,7 @@ GcStats Heap::collect(const RootEnumerator& enumerate_roots,
       Object* o = queue.front();
       queue.pop_front();
       const i32 iso = o->charged_isolate;
-      o->traceRefs([&](Object* child) {
+      o->forEachRef([&](Object* child) {
         if (child->gc_mark != 0) return;
         child->gc_mark = 1;
         child->charged_isolate = iso;  // inherits the discovering isolate
@@ -334,7 +432,7 @@ GcStats Heap::collect(const RootEnumerator& enumerate_roots,
         Object* o = work.front();
         work.pop_front();
         const u64 mask = o->reach_mask;
-        o->traceRefs([&](Object* child) {
+        o->forEachRef([&](Object* child) {
           if ((child->reach_mask | mask) != child->reach_mask) {
             child->reach_mask |= mask;
             work.push_back(child);
@@ -381,9 +479,9 @@ GcStats Heap::collect(const RootEnumerator& enumerate_roots,
 
   stats.live_bytes = live_bytes;
   stats.live_objects = live_objects;
-  live_bytes_.store(live_bytes, std::memory_order_relaxed);
-  live_objects_.store(live_objects, std::memory_order_relaxed);
-  bytes_since_gc_.store(0, std::memory_order_relaxed);
+  counters_.live_bytes.store(live_bytes, std::memory_order_relaxed);
+  counters_.live_objects.store(live_objects, std::memory_order_relaxed);
+  counters_.bytes_since_gc.store(0, std::memory_order_relaxed);
   return stats;
 }
 

@@ -29,9 +29,47 @@
 // of allocator heap-layout luck. The cache keeps the hot path entirely in
 // user space. Disabled under AddressSanitizer so use-after-free detection
 // keeps seeing real frees.
+//
+// Thread-local allocation: every guest thread owns an AllocCache (taken
+// when the thread is attached or spawned, flushed and recycled when it
+// detaches or ends) with
+//
+//   - a block stash per <= 4 KiB power-of-two bucket. A miss refills it in
+//     one mutex_ acquisition with min(32 blocks, 8 KiB) taken from the
+//     shared cache -- or, when that bucket of the shared cache is empty,
+//     with a batch of fresh blocks allocated outside the lock;
+//   - a private list (head/tail) of the objects the thread allocated.
+//     collect(), forEachObject() and ~Heap splice every list into
+//     all_objects_ before walking it.
+//
+// So mutex_ is taken by stash refills, by allocations above 4 KiB (shared
+// cache pop), by monitorFor and by the collector; never per object on the
+// <= 4 KiB path. A collection also drains every stash back into the shared
+// cache (freeing what exceeds the cap), so cachedBytes() and the
+// 2x-threshold bound are exact after each GC and stashes never pin more
+// than 8 KiB per bucket per thread.
+//
+// Each cache has its own mutex, taken only by its owner (for one
+// allocation at a time), by releaseCache, and by collect()/forEachObject(),
+// which lock the registry (caches_mutex_) and every cache for their whole
+// walk. Running threads are parked at a safepoint during a GC and never
+// contend; the lock exists for Blocked allocators -- host C++ threads
+// allocating through a guest thread that is outside the interpreter --
+// because stop-the-world does not park Blocked threads. Such an allocation
+// waits for the collection, and so does acquireCache: no cache is created while a walk runs, so every
+// object the walk can see is on the list it walks and the counters hold
+// still. The VM therefore takes a cache before any lock of its own (the
+// root scan takes those locks while the walk holds the cache locks).
+// Lock order: caches_mutex_ -> AllocCache::mutex_ -> mutex_ -> the VM
+// locks the root scan takes.
+//
+// The heap-wide counters and the per-isolate charges (VM::alloc*) stay
+// exact atomics bumped at every allocation: the section-4.2 limit checks
+// see every byte immediately, with no per-thread slack.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -67,6 +105,30 @@ using RootSink = std::function<void(Object*, i32)>;
 // Root enumerator provided by the VM.
 using RootEnumerator = std::function<void(const RootSink&)>;
 
+// Per-thread allocation cache (see "Thread-local allocation" above). Owned
+// by the Heap; a JThread holds a pointer between attach and detach.
+// Cache-line aligned: the caches sit side by side in the Heap's registry,
+// and a neighbour's lock must not share a line with this one's list head.
+class alignas(64) AllocCache {
+ public:
+  // Buckets 0..7 (32 B .. 4 KiB) are stashed; batch size per refill.
+  static constexpr int kStashBuckets = 8;
+  static constexpr size_t kStashMaxBlocks = 32;
+  static constexpr size_t kStashMaxBytes = size_t{8} << 10;
+
+ private:
+  friend class Heap;
+  struct Stash {
+    u32 count = 0;
+    std::array<void*, kStashMaxBlocks> blocks{};
+  };
+  // Touched by every allocation: kept together at the front.
+  std::mutex mutex_;
+  Object* head_ = nullptr;  // newest object
+  Object* tail_ = nullptr;  // oldest object (splice point)
+  std::array<Stash, kStashBuckets> stash_;
+};
+
 class Heap {
  public:
   // gc_threshold: allocated-bytes-since-last-GC that triggers a collection
@@ -78,20 +140,50 @@ class Heap {
   Heap& operator=(const Heap&) = delete;
 
   // ---- allocation (thread-safe). Returns nullptr on hard OOM only. ----
-  Object* allocPlain(JClass* cls, i32 creator_isolate);
-  Object* allocArray(JClass* array_cls, i32 length, i32 creator_isolate);
-  Object* allocString(JClass* string_cls, std::string chars, i32 creator_isolate);
+  // `cache` is the allocating thread's AllocCache.
+  Object* allocPlain(JClass* cls, i32 creator_isolate, AllocCache* cache);
+  Object* allocArray(JClass* array_cls, i32 length, i32 creator_isolate,
+                     AllocCache* cache);
+  Object* allocString(JClass* string_cls, std::string chars, i32 creator_isolate,
+                      AllocCache* cache);
   Object* allocNative(JClass* cls, std::unique_ptr<NativePayload> payload,
-                      i32 creator_isolate);
+                      i32 creator_isolate, AllocCache* cache);
+
+  // Bytes a String object holding `chars` is charged: header, payload
+  // pointer and the character buffer's capacity. allocString charges
+  // exactly this (the buffer moves, capacity and all), so callers can
+  // check limits against the same figure before allocating.
+  static size_t stringFootprint(const std::string& chars) {
+    return sizeof(Object) + sizeof(std::string*) + chars.capacity();
+  }
+
+  // ---- per-thread caches ----
+  // Returns an empty registered cache (a recycled one when available).
+  // Waits for a running collect()/forEachObject(), so the caller must not
+  // hold a lock the collector's root scan takes.
+  AllocCache* acquireCache();
+  // Splices the cache's objects into the shared list, returns its stash to
+  // the shared cache and makes it available to the next acquireCache().
+  // The caller must not allocate through `cache` afterwards.
+  void releaseCache(AllocCache* cache);
 
   Monitor* monitorFor(Object* obj);
 
   // ---- statistics ----
-  size_t liveBytes() const { return live_bytes_.load(std::memory_order_relaxed); }
-  size_t liveObjects() const { return live_objects_.load(std::memory_order_relaxed); }
-  size_t bytesSinceGc() const { return bytes_since_gc_.load(std::memory_order_relaxed); }
-  u64 totalAllocatedBytes() const { return total_allocated_.load(std::memory_order_relaxed); }
-  // Allocations served from the block cache / bytes currently retained.
+  size_t liveBytes() const {
+    return counters_.live_bytes.load(std::memory_order_relaxed);
+  }
+  size_t liveObjects() const {
+    return counters_.live_objects.load(std::memory_order_relaxed);
+  }
+  size_t bytesSinceGc() const {
+    return counters_.bytes_since_gc.load(std::memory_order_relaxed);
+  }
+  u64 totalAllocatedBytes() const {
+    return counters_.total_allocated.load(std::memory_order_relaxed);
+  }
+  // Blocks the shared cache handed back out -- to an allocation above
+  // 4 KiB, or a batch to a stash refill -- / bytes it currently retains.
   u64 recycledAllocs() const { return recycled_allocs_.load(std::memory_order_relaxed); }
   size_t cachedBytes() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -104,8 +196,10 @@ class Heap {
   GcStats collect(const RootEnumerator& enumerate_roots,
                   AccountingPolicy policy = AccountingPolicy::FirstReference);
 
-  // Visits every live object. Only meaningful while the world is stopped
-  // (the VM uses it right after a collection to detect dead isolates).
+  // Visits every object allocated and not yet swept, including those still
+  // on thread caches' private lists. Only meaningful while the world is
+  // stopped (the VM uses it right after a collection to detect dead
+  // isolates). `fn` must not allocate.
   void forEachObject(const std::function<void(Object*)>& fn);
 
  private:
@@ -116,22 +210,49 @@ class Heap {
   static int bucketFor(size_t total);       // -1: uncacheable size
   static size_t bucketSize(int bucket);
 
-  Object* allocRaw(JClass* cls, ObjKind kind, size_t payload_bytes, i32 length,
+  // Allocates an object whose payload is a copy of `payload_bytes` from
+  // `payload` (zeroed when null), charged `extra_charge` bytes beyond its
+  // block, and links it onto `cache`'s list.
+  Object* allocRaw(AllocCache* cache, JClass* cls, ObjKind kind, const void* payload,
+                   size_t payload_bytes, size_t extra_charge, i32 length,
                    i32 creator_isolate);
+  // Pops a block for `bucket` from the shared cache (nullptr when empty).
+  void* popShared(int bucket);
+  // Pops a block from the stash, refilling it on a miss. Caller holds
+  // cache.mutex_.
+  void* popStash(AllocCache& cache, int bucket);
   static size_t footprint(const Object* obj);
   void freeObject(Object* obj);  // caller holds mutex_ (or is the destructor)
+  void returnBlock(void* mem, int bucket);  // caller holds mutex_
+  // Caller holds cache.mutex_ and mutex_ (or is the destructor).
+  void spliceLocked(AllocCache& cache);      // private list -> all_objects_
+  void drainStashLocked(AllocCache& cache);  // stash -> shared cache
+  // Locks the registry, every cache, then mutex_, and splices every
+  // private list into all_objects_ (also draining the stashes when asked).
+  // The walkers hold the returned locks for their whole walk.
+  std::vector<std::unique_lock<std::mutex>> lockAndSplice(bool drain_stashes);
 
   size_t gc_threshold_;
-  mutable std::mutex mutex_;  // guards the object list, block cache, monitors
+  mutable std::mutex mutex_;  // guards the shared list, block cache, monitors
   std::array<std::vector<void*>, kNumBuckets> block_cache_;
   size_t cached_bytes_ = 0;
   size_t cache_cap_bytes_ = 0;  // 0 disables retention
   std::atomic<u64> recycled_allocs_{0};
-  Object* all_objects_ = nullptr;
-  std::atomic<size_t> live_bytes_{0};
-  std::atomic<size_t> live_objects_{0};
-  std::atomic<size_t> bytes_since_gc_{0};
-  std::atomic<u64> total_allocated_{0};
+  Object* all_objects_ = nullptr;  // spliced lists, walked by the collector
+
+  mutable std::mutex caches_mutex_;  // guards caches_ and free_caches_
+  std::deque<AllocCache> caches_;    // deque: stable addresses
+  std::vector<AllocCache*> free_caches_;
+
+  // Bumped together by every allocation on every thread: a cache line of
+  // their own, away from mutex_ and the shared-cache state.
+  struct alignas(64) Counters {
+    std::atomic<size_t> live_bytes{0};
+    std::atomic<size_t> live_objects{0};
+    std::atomic<size_t> bytes_since_gc{0};
+    std::atomic<u64> total_allocated{0};
+  };
+  Counters counters_;
 };
 
 }  // namespace ijvm

@@ -91,9 +91,41 @@ struct Object {
            kind == ObjKind::ArrayDouble || kind == ObjKind::ArrayRef;
   }
 
-  // Visit all guest references reachable directly from this object.
-  void traceRefs(const std::function<void(Object*)>& visit);
+  // Visit all guest references reachable directly from this object. A
+  // template, so the collector's visitor is called directly: wrapped in a
+  // std::function, a capture larger than its small buffer would
+  // heap-allocate once per marked object.
+  template <typename F>
+  void forEachRef(F&& visit);
 };
+
+template <typename F>
+void Object::forEachRef(F&& visit) {
+  switch (kind) {
+    case ObjKind::Plain: {
+      Value* f = fields();
+      const i32 n = cls != nullptr ? cls->instance_slots : 0;
+      for (i32 i = 0; i < n; ++i) {
+        if (f[i].kind == Kind::Ref && f[i].ref != nullptr) visit(f[i].ref);
+      }
+      break;
+    }
+    case ObjKind::ArrayRef: {
+      Object** elems = refElems();
+      for (i32 i = 0; i < length; ++i) {
+        if (elems[i] != nullptr) visit(elems[i]);
+      }
+      break;
+    }
+    case ObjKind::Native:
+      // Payload tracing stays virtual; the reference_wrapper fits the
+      // std::function small buffer, so this path does not allocate either.
+      if (native() != nullptr) native()->trace(std::ref(visit));
+      break;
+    default:
+      break;  // primitive arrays and strings hold no references
+  }
+}
 
 // Header flags go in padding; the header must not grow.
 static_assert(sizeof(Object) == 64, "Object header grew");

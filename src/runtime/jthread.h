@@ -23,6 +23,7 @@
 
 namespace ijvm {
 
+class AllocCache;
 class VM;
 
 // Execution tier a frame is currently running in. Stamped by the engines
@@ -142,6 +143,11 @@ class JThread {
   bool hasFrames() const {
     return frames_active.load(std::memory_order_relaxed) > 0;
   }
+
+  // Thread-local allocation cache (heap/heap.h): block stash + private
+  // new-object list. Set when the thread is attached or spawned, released
+  // (and nulled) when it detaches or ends; it allocates nothing after.
+  AllocCache* alloc_cache = nullptr;
 
   // Pending guest exception being thrown/propagated (GC root).
   Object* pending_exception = nullptr;

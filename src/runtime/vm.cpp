@@ -78,6 +78,9 @@ bool NativeCtx::hasPending() const { return thread.pending_exception != nullptr;
 
 VM::VM(VmOptions options)
     : options_(options), heap_(options.gc_threshold) {
+  // The main thread is attached under isolates_mutex_ by the first
+  // createIsolate, where a cache cannot be taken (see newThreadLocked).
+  main_cache_ = heap_.acquireCache();
   if (options_.verify) {
     registry_.setVerifyHook([](const JClass& cls) { verifyClass(cls); });
   }
@@ -137,7 +140,7 @@ Isolate* VM::createIsolate(ClassLoader* loader, const std::string& name) {
     // interpreter (VM::invoke flips the state at the outermost call), so
     // C++ code can never stall a stop-the-world.
     std::lock_guard<std::mutex> tlock(threads_mutex_);
-    main_thread_ = newThreadLocked("main", raw);
+    main_thread_ = newThreadLocked("main", raw, main_cache_);
     raw->stats.threads_created.fetch_add(1, std::memory_order_relaxed);
     raw->stats.live_threads.fetch_add(1, std::memory_order_relaxed);
   }
@@ -164,9 +167,11 @@ std::vector<Isolate*> VM::isolates() {
 
 // ---- threads ----
 
-JThread* VM::newThreadLocked(const std::string& name, Isolate* initial) {
+JThread* VM::newThreadLocked(const std::string& name, Isolate* initial,
+                             AllocCache* cache) {
   auto t = std::make_unique<JThread>(*this, next_thread_id_++, name, initial);
   JThread* raw = t.get();
+  raw->alloc_cache = cache;
   threads_.push_back(std::move(t));
   safepoints_.registerThread();
   return raw;
@@ -174,8 +179,9 @@ JThread* VM::newThreadLocked(const std::string& name, Isolate* initial) {
 
 JThread* VM::attachThread(const std::string& name, Isolate* initial) {
   IJVM_CHECK(initial != nullptr, "attachThread needs an isolate");
+  AllocCache* cache = heap_.acquireCache();
   std::lock_guard<std::mutex> lock(threads_mutex_);
-  return newThreadLocked(name, initial);
+  return newThreadLocked(name, initial, cache);
 }
 
 void VM::detachThread(JThread* t) {
@@ -185,6 +191,15 @@ void VM::detachThread(JThread* t) {
   // stack is empty so it contributes no GC roots.
   t->dropAllFrames();
   t->pending_exception = nullptr;
+  releaseAllocCache(t);
+}
+
+void VM::releaseAllocCache(JThread* t) {
+  // Its objects join the shared list and its stash the shared block
+  // cache; the cache itself goes to the next attached thread.
+  if (t->alloc_cache == nullptr) return;
+  heap_.releaseCache(t->alloc_cache);
+  t->alloc_cache = nullptr;
 }
 
 std::vector<JThread*> VM::threadsSnapshot() {
@@ -225,10 +240,11 @@ JThread* VM::spawnThread(JThread* caller, Object* thread_obj,
   creator->stats.threads_created.fetch_add(1, std::memory_order_relaxed);
   creator->stats.live_threads.fetch_add(1, std::memory_order_relaxed);
 
+  AllocCache* cache = heap_.acquireCache();
   JThread* t;
   {
     std::lock_guard<std::mutex> lock(threads_mutex_);
-    t = newThreadLocked(name, creator);
+    t = newThreadLocked(name, creator, cache);
   }
   t->thread_object = thread_obj;
 
@@ -258,6 +274,7 @@ JThread* VM::spawnThread(JThread* caller, Object* thread_obj,
       t->dropAllFrames();
       t->thread_object = nullptr;
     }
+    releaseAllocCache(t);
     t->markDone();
   });
   return t;
@@ -302,13 +319,13 @@ Object* VM::newException(JThread* t, const std::string& exception_class,
   // Bypass limit checks: an exception must be constructible even when the
   // offending isolate is over its memory budget.
   Object* exc = heap_.allocPlain(
-      cls, t->current_isolate.load(std::memory_order_relaxed)->id);
+      cls, t->current_isolate.load(std::memory_order_relaxed)->id, t->alloc_cache);
   IJVM_CHECK(exc != nullptr, "host out of memory allocating exception");
   if (JField* f = cls->findField("message")) {
     if (!f->isStatic()) {
       Object* msg = heap_.allocString(
           string_class_, message,
-          t->current_isolate.load(std::memory_order_relaxed)->id);
+          t->current_isolate.load(std::memory_order_relaxed)->id, t->alloc_cache);
       exc->fields()[f->slot] = Value::ofRef(msg);
     }
   }
@@ -339,8 +356,14 @@ std::string VM::pendingMessage(JThread* t) {
 Object* VM::newStringObject(JThread* t, std::string chars) {
   Isolate* iso = t->current_isolate.load(std::memory_order_relaxed);
   IJVM_CHECK(string_class_ != nullptr, "java/lang/String not installed");
-  if (!checkMemoryLimits(t, sizeof(Object) + chars.size())) return nullptr;
-  Object* s = heap_.allocString(string_class_, std::move(chars), iso->id);
+  // Checked against exactly what the allocation will be charged.
+  const size_t bytes = Heap::stringFootprint(chars);
+  if (!checkMemoryLimits(t, bytes)) return nullptr;
+  Object* s = heap_.allocString(string_class_, std::move(chars), iso->id, t->alloc_cache);
+  if (s == nullptr) {
+    throwGuest(t, "java/lang/OutOfMemoryError", "host allocation failed");
+    return nullptr;
+  }
   if (options_.accounting) {
     iso->stats.objects_allocated.fetch_add(1, std::memory_order_relaxed);
     iso->stats.bytes_allocated.fetch_add(s->byte_size, std::memory_order_relaxed);
@@ -425,7 +448,7 @@ Object* VM::allocObject(JThread* t, JClass* cls) {
   const size_t bytes =
       sizeof(Object) + static_cast<size_t>(cls->instance_slots) * sizeof(Value);
   if (!checkMemoryLimits(t, bytes)) return nullptr;
-  Object* obj = heap_.allocPlain(cls, iso->id);
+  Object* obj = heap_.allocPlain(cls, iso->id, t->alloc_cache);
   if (obj == nullptr) {
     throwGuest(t, "java/lang/OutOfMemoryError", "host allocation failed");
     return nullptr;
@@ -447,7 +470,7 @@ Object* VM::allocArrayObject(JThread* t, JClass* array_cls, i32 length) {
   size_t elem = array_cls->elem_kind == Kind::Int ? 4 : 8;
   const size_t bytes = sizeof(Object) + elem * static_cast<size_t>(length);
   if (!checkMemoryLimits(t, bytes)) return nullptr;
-  Object* obj = heap_.allocArray(array_cls, length, iso->id);
+  Object* obj = heap_.allocArray(array_cls, length, iso->id, t->alloc_cache);
   if (obj == nullptr) {
     throwGuest(t, "java/lang/OutOfMemoryError", "host allocation failed");
     return nullptr;
@@ -466,7 +489,7 @@ Object* VM::allocNativeObject(JThread* t, JClass* cls,
   const size_t bytes = sizeof(Object) + payload->byteSize();
   if (!checkMemoryLimits(t, bytes)) return nullptr;
   bool is_connection = payload->isConnection();
-  Object* obj = heap_.allocNative(cls, std::move(payload), iso->id);
+  Object* obj = heap_.allocNative(cls, std::move(payload), iso->id, t->alloc_cache);
   if (obj == nullptr) {
     throwGuest(t, "java/lang/OutOfMemoryError", "host allocation failed");
     return nullptr;
@@ -488,7 +511,7 @@ Object* VM::classObject(JThread* t, JClass* cls) {
   if (mirror.class_object != nullptr) return mirror.class_object;
   JClass* class_cls = registry_.systemLoader()->find("java/lang/Class");
   IJVM_CHECK(class_cls != nullptr, "java/lang/Class not installed");
-  Object* obj = heap_.allocPlain(class_cls, iso->id);
+  Object* obj = heap_.allocPlain(class_cls, iso->id, t->alloc_cache);
   IJVM_CHECK(obj != nullptr, "host out of memory allocating Class object");
   // Stash the JClass* in the hidden long field so natives can get back.
   if (JField* f = class_cls->findField("__jclass"); f != nullptr && !f->isStatic()) {

@@ -249,7 +249,12 @@ class VM {
   // `bytes`; may force a GC; returns false after throwing OutOfMemoryError.
   bool checkMemoryLimits(JThread* t, size_t bytes);
   void runClinit(JThread* t, JClass* cls, TaskClassMirror& mirror, Isolate* iso);
-  JThread* newThreadLocked(const std::string& name, Isolate* initial);
+  // `cache` comes from heap_.acquireCache(), taken before threads_mutex_
+  // (and isolates_mutex_): it waits for a running collection, whose root
+  // scan takes both.
+  JThread* newThreadLocked(const std::string& name, Isolate* initial,
+                           AllocCache* cache);
+  void releaseAllocCache(JThread* t);
 
   VmOptions options_;
   ClassRegistry registry_;
@@ -264,6 +269,7 @@ class VM {
   std::mutex threads_mutex_;
   std::deque<std::unique_ptr<JThread>> threads_;
   JThread* main_thread_ = nullptr;
+  AllocCache* main_cache_ = nullptr;  // taken by the constructor, for main_thread_
   i32 next_thread_id_ = 1;
 
   std::mutex clinit_mutex_;

@@ -104,7 +104,7 @@ void expectAllOwnedBy(Object* root, i32 iso_id) {
     if (o == nullptr || seen.count(o) != 0) return;
     seen.emplace(o, true);
     EXPECT_EQ(o->creator_isolate, iso_id);
-    o->traceRefs(go);
+    o->forEachRef(go);
   };
   go(root);
 }

@@ -2,9 +2,15 @@
 // accounting pass (paper section 3.2's four-step algorithm).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <unordered_set>
+
 #include "bytecode/builder.h"
 #include "heap/object.h"
 #include "osgi/framework.h"
+#include "runtime/mutator_pool.h"
 #include "stdlib/system_library.h"
 #include "workloads/bundles.h"
 
@@ -290,6 +296,341 @@ TEST_F(GcFixture, SweptBlocksAreRecycledBySameSizeAllocations) {
   const u64 recycled_before = vm->heap().recycledAllocs();
   churn();
   EXPECT_GE(vm->heap().recycledAllocs() - recycled_before, 16u);
+}
+
+TEST_F(GcFixture, SweptSmallBlocksAreRecycledThroughTheStash) {
+  // <= 4 KiB blocks reach the allocating thread through its stash: a miss
+  // refills it from the shared cache, and those allocations still count
+  // as recycled.
+  JThread* t = vm->mainThread();
+  JClass* int_arr = vm->registry().arrayClass("[I");
+  auto churn = [&] {
+    for (int i = 0; i < 64; ++i) vm->allocArrayObject(t, int_arr, 100);
+    vm->collectGarbage(t, nullptr);
+  };
+  churn();
+  if (vm->heap().cachedBytes() == 0) {
+    GTEST_SKIP() << "block cache disabled (sanitizer build)";
+  }
+  const u64 recycled_before = vm->heap().recycledAllocs();
+  churn();
+  EXPECT_GE(vm->heap().recycledAllocs() - recycled_before, 16u);
+}
+
+TEST_F(GcFixture, FreshObjectsStartWithTypedZeroFields) {
+  // allocPlain copies the class's link-time template: every slot, the
+  // superclass's included, carries its declared kind and a zero value.
+  ClassBuilder cb("g/Wide", "g/Node");
+  cb.field("i", "I");
+  cb.field("l", "J");
+  cb.field("d", "D");
+  cb.field("s", "I", ACC_PUBLIC | ACC_STATIC);
+  JClass* wide = app->define(cb.build());
+  ASSERT_EQ(wide->instance_slots, 5);
+  ASSERT_EQ(wide->instance_template.size(), 5u);
+  Object* o = vm->allocObject(vm->mainThread(), wide);
+  ASSERT_NE(o, nullptr);
+  const std::pair<const char*, Kind> expect[] = {
+      {"next", Kind::Ref}, {"payload", Kind::Ref}, {"i", Kind::Int},
+      {"l", Kind::Long}, {"d", Kind::Double}};
+  for (const auto& [name, kind] : expect) {
+    const Value& v = o->fields()[wide->findField(name)->slot];
+    EXPECT_EQ(v.kind, kind) << name;
+    EXPECT_EQ(v.i, 0) << name;
+  }
+}
+
+TEST_F(GcFixture, StringChargeEqualsTheCheckedFootprint) {
+  // The limit check and the charge use one figure: header, payload
+  // pointer and the character buffer's capacity (a 4-char name is 87 B on
+  // libstdc++, not the 68 B that header + length would give).
+  JThread* t = vm->mainThread();
+  for (const std::string& chars : {std::string("name"), std::string(1000, 'x')}) {
+    const size_t checked = Heap::stringFootprint(chars);
+    EXPECT_EQ(checked, sizeof(Object) + sizeof(std::string*) + chars.capacity());
+    const u64 since_before = iso->stats.bytes_since_gc.load();
+    Object* s = vm->newStringObject(t, chars);
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->byte_size, checked) << chars.size() << " chars";
+    EXPECT_EQ(iso->stats.bytes_since_gc.load() - since_before, checked);
+  }
+}
+
+// Guest helper for the concurrency tests: g/Churn.fill(keep, n) allocates
+// n nodes and keeps every other one in `keep` (length >= n / 2).
+JClass* defineChurn(ClassLoader* loader) {
+  ClassBuilder cb("g/Churn");
+  auto& m = cb.method("fill", "([Lg/Node;I)V", ACC_PUBLIC | ACC_STATIC);
+  Label loop = m.newLabel(), skip = m.newLabel(), done = m.newLabel();
+  m.iconst(0).istore(2);
+  m.bind(loop).iload(2).iload(1).ifIcmpGe(done);
+  m.newDefault("g/Node").astore(3);
+  m.iload(2).iconst(1).iand().ifne(skip);
+  m.aload(0).iload(2).iconst(1).ishr().aload(3).aastore();
+  m.bind(skip).iinc(2, 1).gotoLabel(loop);
+  m.bind(done).ret();
+  return loader->define(cb.build());
+}
+
+size_t countObjects(VM& vm, const JClass* cls = nullptr) {
+  size_t n = 0;
+  vm.heap().forEachObject([&](Object* o) {
+    if (cls == nullptr || o->cls == cls) ++n;
+  });
+  return n;
+}
+
+TEST(ThreadLocalAllocation, PoolWorkersAllocateConcurrentlyAcrossGcs) {
+  constexpr int kWorkers = 4;
+  constexpr int kTasks = 8;
+  constexpr int kNodes = 6000;  // per task; half are kept
+  VmOptions opts;
+  opts.mutator_threads = kWorkers;
+  opts.gc_threshold = 128u << 10;  // many collections during the run
+  VM vm(opts);
+  installSystemLibrary(vm);
+  ClassLoader* loader = vm.registry().newLoader("app");
+  ClassBuilder nb("g/Node");
+  nb.field("next", "Lg/Node;");
+  nb.field("payload", "[I");
+  JClass* node_cls = loader->define(nb.build());
+  defineChurn(loader);
+  Isolate* app = vm.createIsolate(loader, "app");
+  JThread* main = vm.mainThread();
+  JClass* keep_cls = vm.registry().resolve(loader, "[Lg/Node;");
+  ASSERT_NE(keep_cls, nullptr);
+
+  std::vector<GlobalRef*> keeps;
+  for (int k = 0; k < kTasks; ++k) {
+    LocalRootScope roots(main);
+    keeps.push_back(vm.addGlobalRef(
+        roots.add(vm.allocArrayObject(main, keep_cls, kNodes / 2)), app));
+  }
+  const u64 gcs_before = vm.gcCount();
+  std::atomic<int> failures{0};
+  MutatorPool& pool = vm.mutatorPool();
+  for (int k = 0; k < kTasks; ++k) {
+    Object* keep = keeps[static_cast<size_t>(k)]->obj;
+    pool.submit(
+        [&vm, &failures, loader, keep](JThread* jt) {
+          vm.callStaticIn(jt, loader, "g/Churn", "fill", "([Lg/Node;I)V",
+                          {Value::ofRef(keep), Value::ofInt(kNodes)});
+          if (jt->pending_exception != nullptr) {
+            failures.fetch_add(1);
+            jt->pending_exception = nullptr;
+          }
+        },
+        app);
+  }
+  pool.drain();
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_GT(vm.gcCount() - gcs_before, 2u) << "no collection overlapped the run";
+
+  vm.collectGarbage(main, nullptr);
+  // Every kept node survived and is still where the guest stored it...
+  std::unordered_set<Object*> live;
+  vm.heap().forEachObject([&](Object* o) { live.insert(o); });
+  size_t kept = 0;
+  for (GlobalRef* g : keeps) {
+    Object** elems = g->obj->refElems();
+    for (i32 i = 0; i < g->obj->length; ++i) {
+      ASSERT_NE(elems[i], nullptr);
+      ASSERT_EQ(elems[i]->cls, node_cls);
+      ASSERT_TRUE(live.count(elems[i]) != 0);
+      ++kept;
+    }
+  }
+  // ...every dropped one was freed, and the live counter is exact.
+  EXPECT_EQ(countObjects(vm, node_cls), kept);
+  EXPECT_EQ(vm.heap().liveObjects(), live.size());
+  for (GlobalRef* g : keeps) vm.removeGlobalRef(g);
+  vm.collectGarbage(main, nullptr);
+  EXPECT_EQ(countObjects(vm, node_cls), 0u);
+  EXPECT_EQ(vm.heap().liveObjects(), countObjects(vm));
+}
+
+TEST_F(GcFixture, DetachedThreadObjectsStayVisibleAndItsStashReturns) {
+  JThread* t = vm->mainThread();
+  // Seed the shared cache with plenty of node-sized blocks.
+  for (int i = 0; i < 100; ++i) vm->allocObject(t, node_cls);
+  vm->collectGarbage(t, nullptr);
+  const size_t cached_before = vm->heap().cachedBytes();
+
+  JThread* helper = vm->attachThread("helper", iso);
+  Object* obj = vm->allocObject(helper, node_cls);
+  ASSERT_NE(obj, nullptr);
+  const size_t cached_during = vm->heap().cachedBytes();
+  vm->detachThread(helper);
+  EXPECT_EQ(helper->alloc_cache, nullptr);
+
+  // The object left the helper's private list for the shared one...
+  EXPECT_TRUE(alive(obj));
+  EXPECT_EQ(vm->heap().liveObjects(), countObjects(*vm));
+  if (cached_before == 0) {
+    GTEST_SKIP() << "block cache disabled (sanitizer build)";
+  }
+  // ...and the stash refill (one batch of 128 B blocks: 32 of them) went
+  // back to the shared cache, minus the block the object occupies.
+  const size_t block = 128;
+  ASSERT_LE(sizeof(Object) + 2 * sizeof(Value), block);
+  EXPECT_EQ(cached_during, cached_before - 32 * block);
+  EXPECT_EQ(vm->heap().cachedBytes(), cached_before - block);
+
+  // The object is ordinary garbage from here on.
+  vm->collectGarbage(t, nullptr);
+  EXPECT_FALSE(alive(obj));
+}
+
+TEST_F(GcFixture, CollectionDrainsEveryStash) {
+  // After a GC every block is back in the shared cache: a stash refill
+  // taken between two collections leaves no trace in cachedBytes().
+  JThread* t = vm->mainThread();
+  for (int i = 0; i < 100; ++i) vm->allocObject(t, node_cls);
+  vm->collectGarbage(t, nullptr);
+  const size_t cached_before = vm->heap().cachedBytes();
+  if (cached_before == 0) {
+    GTEST_SKIP() << "block cache disabled (sanitizer build)";
+  }
+  ASSERT_NE(vm->allocObject(t, node_cls), nullptr);
+  EXPECT_LT(vm->heap().cachedBytes(), cached_before);  // the refill
+  vm->collectGarbage(t, nullptr);
+  EXPECT_EQ(vm->heap().cachedBytes(), cached_before);
+}
+
+TEST_F(GcFixture, BlockedHostThreadAllocatesWhileAnotherThreadCollects) {
+  // A host thread allocating through an attached (Blocked) guest thread is
+  // not parked by stop-the-world; its cache lock is what serializes it
+  // with the collector. Rooted data must come through intact and every
+  // counter must stay exact.
+  JThread* t = vm->mainThread();
+  JClass* int_arr = vm->registry().arrayClass("[I");
+  std::vector<GlobalRef*> pinned;
+  for (int k = 0; k < 32; ++k) {
+    LocalRootScope roots(t);
+    Object* a = roots.add(vm->allocArrayObject(t, int_arr, 8 + k * 64));
+    for (i32 i = 0; i < a->length; ++i) a->intElems()[i] = k * 1000 + i;
+    pinned.push_back(vm->addGlobalRef(a, iso));
+  }
+
+  JThread* host = vm->attachThread("blocked-host", iso);
+  ASSERT_EQ(host->state.load(), ThreadState::Blocked);
+  constexpr int kRounds = 3000;
+  const u64 total_before = vm->heap().totalAllocatedBytes();
+  std::atomic<bool> done{false};
+  std::atomic<int> nulls{0};
+  std::thread allocator([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      // Unrooted garbage of every path: stash-sized, and > 4 KiB (shared
+      // cache under mutex_). Nothing reads it back: a concurrent GC may
+      // free it the moment it is returned.
+      if (vm->allocObject(host, node_cls) == nullptr) nulls.fetch_add(1);
+      if (vm->allocArrayObject(host, int_arr, 16) == nullptr) nulls.fetch_add(1);
+      if (i % 8 == 0 && vm->allocArrayObject(host, int_arr, 2048) == nullptr) {
+        nulls.fetch_add(1);
+      }
+    }
+    done.store(true);
+  });
+  int collections = 0;
+  while (!done.load() || collections < 5) {
+    vm->collectGarbage(t, nullptr);
+    ++collections;
+  }
+  allocator.join();
+  vm->detachThread(host);
+  EXPECT_EQ(nulls.load(), 0);
+
+  // Charged at exactly the sizes allocated: node 64 + 2 x 16 B, int[16]
+  // 64 + 64 B, int[2048] 64 + 8 KiB.
+  const u64 expected = u64{kRounds} * (96 + 128) + u64{(kRounds + 7) / 8} * (64 + 8192);
+  EXPECT_EQ(vm->heap().totalAllocatedBytes() - total_before, expected);
+
+  vm->collectGarbage(t, nullptr);
+  EXPECT_EQ(vm->heap().liveObjects(), countObjects(*vm));
+  EXPECT_EQ(countObjects(*vm, node_cls), 0u);
+  for (int k = 0; k < 32; ++k) {
+    Object* a = pinned[static_cast<size_t>(k)]->obj;
+    ASSERT_EQ(a->length, 8 + k * 64);
+    for (i32 i = 0; i < a->length; ++i) {
+      ASSERT_EQ(a->intElems()[i], k * 1000 + i) << "array " << k;
+    }
+    vm->removeGlobalRef(pinned[static_cast<size_t>(k)]);
+  }
+}
+
+TEST(ThreadLocalAllocation, CacheTakenDuringACollectionWaitsForTheWalk) {
+  // A thread that attaches while a collection walks the heap must not get
+  // a cache (and allocate) before the walk ends. Otherwise an object it
+  // allocates and roots while the roots are enumerated is marked but not
+  // on the walked list: the sweep never clears its mark, and the next
+  // collection skips tracing it and frees what only it references.
+  VM vm;
+  installSystemLibrary(vm);
+  JClass* obj_arr = vm.registry().arrayClass("[Ljava/lang/Object;");
+  ASSERT_NE(obj_arr, nullptr);
+  Heap heap(1u << 20);
+
+  // Above the largest block-cache size class, so the allocation itself
+  // takes no heap-wide lock.
+  constexpr i32 kLength = 1 << 15;
+  ASSERT_GT(sizeof(Object) + kLength * sizeof(Object*), size_t{128} << 10);
+  AllocCache* cache = nullptr;
+  std::atomic<Object*> late{nullptr};
+  std::thread attacher;
+  heap.collect([&](const RootSink& sink) {
+    attacher = std::thread([&] {
+      cache = heap.acquireCache();
+      late.store(heap.allocArray(obj_arr, kLength, 0, cache));
+    });
+    // Give the attacher ample time to get through; root its object if it
+    // did, as a LocalRootScope on its thread would be.
+    for (int i = 0; i < 200 && late.load() == nullptr; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (Object* x = late.load()) sink(x, 0);
+  });
+  attacher.join();
+  Object* x = late.load();
+  ASSERT_NE(x, nullptr);
+
+  // A child reachable only through x, allocated between the collections.
+  Object* z = heap.allocArray(obj_arr, 0, 0, cache);
+  x->refElems()[1] = z;
+  const GcStats stats = heap.collect([&](const RootSink& sink) { sink(x, 0); });
+  EXPECT_EQ(stats.objects_freed, 0u);
+  EXPECT_EQ(stats.live_objects, 2u);
+  EXPECT_EQ(heap.liveObjects(), 2u);
+  EXPECT_EQ(heap.liveBytes(), x->byte_size + z->byte_size);
+  bool z_alive = false;
+  heap.forEachObject([&](Object* o) { z_alive |= o == z; });
+  EXPECT_TRUE(z_alive);
+  heap.releaseCache(cache);
+}
+
+TEST_F(GcFixture, ThreadsAttachAndDetachWhileAnotherThreadCollects) {
+  // Attach takes its cache before any VM lock, so it can wait for a
+  // collection without holding a lock the root scan needs.
+  JThread* t = vm->mainThread();
+  std::atomic<bool> done{false};
+  std::atomic<int> nulls{0};
+  std::thread churn([&] {
+    for (int i = 0; i < 200; ++i) {
+      JThread* h = vm->attachThread("churn", iso);
+      if (vm->allocObject(h, node_cls) == nullptr) nulls.fetch_add(1);
+      vm->detachThread(h);
+    }
+    done.store(true);
+  });
+  int collections = 0;
+  while (!done.load() || collections < 5) {
+    vm->collectGarbage(t, nullptr);
+    ++collections;
+  }
+  churn.join();
+  EXPECT_EQ(nulls.load(), 0);
+  vm->collectGarbage(t, nullptr);
+  EXPECT_EQ(countObjects(*vm, node_cls), 0u);
+  EXPECT_EQ(vm->heap().liveObjects(), countObjects(*vm));
 }
 
 }  // namespace
