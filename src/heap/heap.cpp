@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <deque>
+#include <new>
 
 // The block cache intentionally keeps freed object storage alive for reuse;
 // under AddressSanitizer that would mask use-after-free on guest objects, so
@@ -35,7 +36,12 @@ const char* accountingPolicyName(AccountingPolicy p) {
   return "?";
 }
 
-Heap::Heap(size_t gc_threshold) : gc_threshold_(gc_threshold) {
+Heap::Heap(size_t gc_threshold)
+    : gc_threshold_(gc_threshold),
+      // Small enough that unspent grants rarely push the bound over the
+      // threshold early (4 threads x 32 KiB against the default 8 MiB),
+      // large enough that drawing one is rare next to allocating.
+      grant_chunk_(std::clamp<size_t>(gc_threshold / 64, 256, size_t{32} << 10)) {
 #if IJVM_HEAP_BLOCK_CACHE
   // Retain up to two GC cycles' worth of churn, within sane bounds: enough
   // that an allocate-everything-then-collect workload recycles its whole
@@ -46,16 +52,11 @@ Heap::Heap(size_t gc_threshold) : gc_threshold_(gc_threshold) {
 }
 
 Heap::~Heap() {
-  // No thread allocates any more: splice and drain without locking.
-  for (AllocCache& c : caches_) {
-    spliceLocked(c);
-    drainStashLocked(c);
-  }
-  Object* o = all_objects_;
-  while (o != nullptr) {
-    Object* next = o->gc_next;
-    freeObject(o);
-    o = next;
+  // No thread allocates any more: walk the tables without locking.
+  for (AllocCache* c = firstCache(); c != nullptr; c = c->next_) {
+    for (Object* o : c->objects_) freeObject(o);
+    c->objects_.clear();
+    drainStashLocked(*c);
   }
   for (std::vector<void*>& bucket : block_cache_) {
     for (void* mem : bucket) ::operator delete(mem);
@@ -71,40 +72,42 @@ AllocCache* Heap::acquireCache() {
     free_caches_.pop_back();
     return c;
   }
-  return &caches_.emplace_back();
+  AllocCache* c = &caches_.emplace_back();
+  // Published last: the exact sums walk the list without the lock.
+  c->next_ = caches_head_.load(std::memory_order_relaxed);
+  caches_head_.store(c, std::memory_order_release);
+  return c;
 }
 
 void Heap::releaseCache(AllocCache* cache) {
   std::lock_guard<std::mutex> reg(caches_mutex_);
   std::lock_guard<std::mutex> own(cache->mutex_);
   std::lock_guard<std::mutex> lock(mutex_);
-  spliceLocked(*cache);
   drainStashLocked(*cache);
   free_caches_.push_back(cache);
 }
 
-std::vector<std::unique_lock<std::mutex>> Heap::lockAndSplice(bool drain_stashes) {
+std::vector<std::unique_lock<std::mutex>> Heap::lockCaches(bool with_heap_mutex) {
   // The registry stays locked too, so no cache can be handed out while the
   // walk runs.
   std::unique_lock<std::mutex> registry(caches_mutex_);
   std::vector<std::unique_lock<std::mutex>> held;
   held.reserve(caches_.size() + 2);
   held.push_back(std::move(registry));
-  for (AllocCache& c : caches_) held.emplace_back(c.mutex_);
-  held.emplace_back(mutex_);
-  for (AllocCache& c : caches_) {
-    spliceLocked(c);
-    if (drain_stashes) drainStashLocked(c);
+  for (AllocCache* c = firstCache(); c != nullptr; c = c->next_) {
+    held.emplace_back(c->mutex_);
   }
+  if (with_heap_mutex) held.emplace_back(mutex_);
   return held;
 }
 
-void Heap::spliceLocked(AllocCache& cache) {
-  if (cache.head_ == nullptr) return;
-  cache.tail_->gc_next = all_objects_;
-  all_objects_ = cache.head_;
-  cache.head_ = nullptr;
-  cache.tail_ = nullptr;
+Heap::Tally Heap::sinceGc() const {
+  Tally t;
+  for (AllocCache* c = firstCache(); c != nullptr; c = c->next_) {
+    t.bytes += c->bytes_.load(std::memory_order_relaxed);
+    t.objects += c->count_.load(std::memory_order_relaxed);
+  }
+  return t;
 }
 
 void Heap::drainStashLocked(AllocCache& cache) {
@@ -176,11 +179,50 @@ void* Heap::popStash(AllocCache& cache, int bucket) {
       // Hand them out in the order the allocator returned them (usually
       // ascending addresses), as one-at-a-time allocation would: objects
       // allocated together then sit in address order, which the hardware
-      // prefetcher follows both here and in the sweep's list walk.
+      // prefetcher follows.
       std::reverse(st.blocks.begin(), st.blocks.begin() + st.count);
     }
   }
-  return st.blocks[--st.count];
+  void* mem = st.blocks[--st.count];
+  if (st.count > 0) {
+    // The next block is usually cold (recycled by the last sweep). Start
+    // its write misses now, so they overlap this allocation instead of
+    // stalling the next one -- at the latest, at the locked instruction
+    // that releases the cache lock.
+    const char* next = static_cast<const char*>(st.blocks[st.count - 1]);
+    const size_t lines = std::min<size_t>(bucketSize(bucket), 256) / 64;
+    for (size_t i = 0; i < lines; ++i) __builtin_prefetch(next + 64 * i, 1);
+  }
+  return mem;
+}
+
+bool Heap::reserveSlot(AllocCache& cache) {
+  std::vector<Object*>& table = cache.objects_;
+  if (table.size() < table.capacity()) return true;
+  try {
+    table.reserve(std::max<size_t>(256, table.capacity() * 2));
+  } catch (const std::bad_alloc&) {
+    return false;
+  }
+  return true;
+}
+
+void Heap::publish(AllocCache& c, Object* obj) {
+  c.objects_.push_back(obj);  // cannot throw: reserveSlot made room
+  const size_t bytes = obj->byte_size;
+  if (bytes > c.grant_left_) {
+    // Cover the allocation before counting it, so granted_ never lags
+    // the cache sums.
+    const size_t draw = std::max(grant_chunk_, bytes - c.grant_left_);
+    granted_.fetch_add(draw, std::memory_order_relaxed);
+    c.grant_left_ += draw;
+  }
+  c.grant_left_ -= bytes;
+  // Only this cache's lock holder writes its counts: plain load + store.
+  c.bytes_.store(c.bytes_.load(std::memory_order_relaxed) + bytes,
+                 std::memory_order_relaxed);
+  c.count_.store(c.count_.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
 }
 
 Object* Heap::allocRaw(AllocCache* cache, JClass* cls, ObjKind kind,
@@ -190,8 +232,8 @@ Object* Heap::allocRaw(AllocCache* cache, JClass* cls, ObjKind kind,
   AllocCache& c = *cache;
   const size_t total = sizeof(Object) + payload_bytes;
   const int bucket = bucketFor(total);
-  // The object is fully initialized before it is linked where a collector
-  // can see it (the sweep reads the header and the Native slot).
+  // The object is fully initialized before it is recorded where a
+  // collector can see it (the sweep reads the header and the Native slot).
   auto build = [&](void* mem) {
     Object* obj = new (mem) Object();
     obj->cls = cls;
@@ -208,29 +250,26 @@ Object* Heap::allocRaw(AllocCache* cache, JClass* cls, ObjKind kind,
     }
     return obj;
   };
-  auto publish = [&](Object* obj) {  // caller holds c.mutex_
-    obj->gc_next = c.head_;
-    c.head_ = obj;
-    if (c.tail_ == nullptr) c.tail_ = obj;
-    const size_t bytes = obj->byte_size;
-    counters_.live_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    counters_.live_objects.fetch_add(1, std::memory_order_relaxed);
-    counters_.bytes_since_gc.fetch_add(bytes, std::memory_order_relaxed);
-    counters_.total_allocated.fetch_add(bytes, std::memory_order_relaxed);
-  };
 
   if (bucket >= 0 && bucket < AllocCache::kStashBuckets) {
     // Common path: only the thread's own cache lock, uncontended unless a
     // collection is walking the caches.
     std::lock_guard<std::mutex> lock(c.mutex_);
+    if (!reserveSlot(c)) return nullptr;
     void* mem = popStash(c, bucket);
     if (mem == nullptr) return nullptr;
     Object* obj = build(mem);
-    publish(obj);
+    publish(c, obj);
     return obj;
   }
   // Larger (or, under ASan, every) object: its block comes from the shared
   // cache or the system allocator, and is initialized outside any lock.
+  // Only the owner adds to the table and a sweep never shrinks its
+  // capacity, so the slot reserved here is still free below.
+  {
+    std::lock_guard<std::mutex> lock(c.mutex_);
+    if (!reserveSlot(c)) return nullptr;
+  }
   void* mem = bucket >= 0 ? popShared(bucket) : nullptr;
   if (mem == nullptr) {
     mem = ::operator new(bucket >= 0 ? bucketSize(bucket) : total, std::nothrow);
@@ -238,7 +277,7 @@ Object* Heap::allocRaw(AllocCache* cache, JClass* cls, ObjKind kind,
   if (mem == nullptr) return nullptr;
   Object* obj = build(mem);
   std::lock_guard<std::mutex> lock(c.mutex_);
-  publish(obj);
+  publish(c, obj);
   return obj;
 }
 
@@ -341,16 +380,64 @@ void Heap::returnBlock(void* mem, int bucket) {
 }
 
 void Heap::forEachObject(const std::function<void(Object*)>& fn) {
-  const auto held = lockAndSplice(/*drain_stashes=*/false);
-  for (Object* o = all_objects_; o != nullptr; o = o->gc_next) fn(o);
+  const auto held = lockCaches(/*with_heap_mutex=*/false);
+  for (AllocCache* c = firstCache(); c != nullptr; c = c->next_) {
+    for (Object* o : c->objects_) fn(o);
+  }
+}
+
+void Heap::sweepTable(std::vector<Object*>& table, GcStats& stats) {
+  // Prefetch distances, in objects: the header far enough ahead to hide a
+  // memory miss behind the frees in between; the String/Native payload
+  // (reached through the header, which is cached by then) closer.
+  constexpr size_t kHeaderAhead = 16;
+  constexpr size_t kPayloadAhead = 8;
+  Object** const v = table.data();
+  const size_t n = table.size();
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kHeaderAhead < n) {
+      // A block is 16-byte aligned, so the 64-byte header (and the
+      // payload pointer right after it) usually spans two lines.
+      const char* h = reinterpret_cast<const char*>(v[i + kHeaderAhead]);
+      __builtin_prefetch(h);
+      __builtin_prefetch(h + sizeof(Object));
+    }
+    if (i + kPayloadAhead < n) {
+      const Object* p = v[i + kPayloadAhead];
+      if (p->kind == ObjKind::String || p->kind == ObjKind::Native) {
+        __builtin_prefetch(*reinterpret_cast<void* const*>(p + 1));
+      }
+    }
+    Object* o = v[i];
+    if (o->gc_mark != 0) {
+      o->gc_mark = 0;
+      stats.live_bytes += footprint(o);
+      ++stats.live_objects;
+      v[kept++] = o;
+    } else {
+      ++stats.objects_freed;
+      stats.bytes_freed += footprint(o);
+      freeObject(o);
+    }
+  }
+  table.resize(kept);  // keeps the capacity for the next cycle
 }
 
 GcStats Heap::collect(const RootEnumerator& enumerate_roots,
                       AccountingPolicy policy) {
   // Every cache stays locked for the whole walk, so a Blocked thread's
-  // allocation cannot interleave with it and the counters hold still.
-  const auto held = lockAndSplice(/*drain_stashes=*/true);
+  // allocation cannot interleave with it and the counts hold still.
+  const auto held = lockCaches(/*with_heap_mutex=*/true);
   GcStats stats;
+  for (AllocCache* c = firstCache(); c != nullptr; c = c->next_) drainStashLocked(*c);
+  auto for_each_marked = [this](auto&& fn) {
+    for (AllocCache* c = firstCache(); c != nullptr; c = c->next_) {
+      for (Object* o : c->objects_) {
+        if (o->gc_mark != 0) fn(o);
+      }
+    }
+  };
 
   auto charge = [&stats, this](Object* o, i32 iso, size_t share_of = 1) {
     if (iso < 0) iso = 0;
@@ -406,9 +493,7 @@ GcStats Heap::collect(const RootEnumerator& enumerate_roots,
       break;  // charged during the mark above
     case AccountingPolicy::CreatorPays:
       // One extra walk over the live set; no propagation.
-      for (Object* o = all_objects_; o != nullptr; o = o->gc_next) {
-        if (o->gc_mark != 0) charge(o, o->creator_isolate);
-      }
+      for_each_marked([&](Object* o) { charge(o, o->creator_isolate); });
       break;
     case AccountingPolicy::DividedShared: {
       // Propagate per-isolate reachability masks to a fixpoint, then split
@@ -439,8 +524,7 @@ GcStats Heap::collect(const RootEnumerator& enumerate_roots,
           }
         });
       }
-      for (Object* o = all_objects_; o != nullptr; o = o->gc_next) {
-        if (o->gc_mark == 0) continue;
+      for_each_marked([&](Object* o) {
         const int sharers = std::popcount(o->reach_mask);
         if (sharers > 1) {
           stats.shared_objects += 1;
@@ -451,37 +535,28 @@ GcStats Heap::collect(const RootEnumerator& enumerate_roots,
             charge(o, bit, static_cast<size_t>(sharers));
           }
         }
-      }
+      });
       break;
     }
   }
   obs::emit(obs::Ev::GcAccounting, obs::Ph::End, -1);
 
-  // ---- sweep ----
+  // ---- sweep: each cache's table in place, one shard per cache ----
   obs::TraceSpan sweep_span(obs::Ev::GcSweep, -1);
-  Object** link = &all_objects_;
-  size_t live_bytes = 0;
-  size_t live_objects = 0;
-  while (*link != nullptr) {
-    Object* o = *link;
-    if (o->gc_mark != 0) {
-      o->gc_mark = 0;
-      live_bytes += footprint(o);
-      ++live_objects;
-      link = &o->gc_next;
-    } else {
-      *link = o->gc_next;
-      ++stats.objects_freed;
-      stats.bytes_freed += footprint(o);
-      freeObject(o);
-    }
+  u64 allocated = 0;
+  for (AllocCache* c = firstCache(); c != nullptr; c = c->next_) {
+    sweepTable(c->objects_, stats);
+    allocated += c->bytes_.load(std::memory_order_relaxed);
+    c->bytes_.store(0, std::memory_order_relaxed);
+    c->count_.store(0, std::memory_order_relaxed);
+    c->grant_left_ = 0;
   }
-
-  stats.live_bytes = live_bytes;
-  stats.live_objects = live_objects;
-  counters_.live_bytes.store(live_bytes, std::memory_order_relaxed);
-  counters_.live_objects.store(live_objects, std::memory_order_relaxed);
-  counters_.bytes_since_gc.store(0, std::memory_order_relaxed);
+  // Before granted_ resets: a reader that sees the reset also sees these.
+  live_bytes_.store(stats.live_bytes, std::memory_order_relaxed);
+  live_objects_.store(stats.live_objects, std::memory_order_relaxed);
+  total_at_gc_.store(total_at_gc_.load(std::memory_order_relaxed) + allocated,
+                     std::memory_order_relaxed);
+  granted_.store(0, std::memory_order_release);
   return stats;
 }
 

@@ -65,7 +65,10 @@ struct Object {
   Monitor* monitor = nullptr;  // lazily created
   i32 length = 0;              // arrays: element count
   size_t byte_size = 0;        // header + payload footprint at allocation
-  Object* gc_next = nullptr;   // intrusive all-objects list for sweeping
+  // Unused: the header stays 64 bytes, so every byte_size -- and with it
+  // every section-3.2 charge -- is what it was when this held the sweep's
+  // list link (the heap now keeps per-thread object tables).
+  u8 reserved[8] = {};
 
   // ---- payload accessors (no bounds checks here; interpreter checks) ----
   Value* fields() { return reinterpret_cast<Value*>(this + 1); }

@@ -144,13 +144,16 @@ class JThread {
     return frames_active.load(std::memory_order_relaxed) > 0;
   }
 
-  // Thread-local allocation cache (heap/heap.h): block stash + private
-  // new-object list. Set when the thread is attached or spawned, released
-  // (and nulled) when it detaches or ends; it allocates nothing after.
+  // Thread-local allocation cache (heap/heap.h): block stash + object
+  // table. Set when the thread is attached or spawned, released (and
+  // nulled) when it detaches or ends; it allocates nothing after.
   AllocCache* alloc_cache = nullptr;
 
-  // Pending guest exception being thrown/propagated (GC root).
-  Object* pending_exception = nullptr;
+  // Pending guest exception being thrown/propagated (GC root). Atomic: the
+  // collector's root scan reads it while a Blocked thread -- host code
+  // between guest calls, which stop-the-world does not park -- may clear
+  // or set it.
+  std::atomic<Object*> pending_exception{nullptr};
 
   // The guest java/lang/Thread object, if any (GC root).
   Object* thread_object = nullptr;

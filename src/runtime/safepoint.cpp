@@ -1,5 +1,6 @@
 #include "runtime/safepoint.h"
 
+#include "obs/clock.h"
 #include "obs/trace.h"
 #include "runtime/jthread.h"
 
@@ -71,7 +72,8 @@ u64 SafepointController::minCountedEra(const std::vector<JThread*>& threads) {
   return min_era;
 }
 
-void SafepointController::stopTheWorld(JThread* self_guest) {
+bool SafepointController::stopTheWorld(JThread* self_guest,
+                                       const std::function<bool()>& proceed) {
   // A guest requester must leave the Running count *before* contending for
   // the operation lock: if another stop-the-world is already in progress,
   // we would otherwise block on op_mutex_ while still counted as running,
@@ -80,17 +82,27 @@ void SafepointController::stopTheWorld(JThread* self_guest) {
   // treated as parked is safe.
   if (self_guest != nullptr) enterBlocked(self_guest);
   op_mutex_.lock();
-  // Time-to-stop (obs/trace.h): the span opens when this stopper *owns*
-  // the operation -- queueing behind another stop-the-world is not this
-  // pause's fault -- and closes when the last mutator parks.
-  const u64 t0 = obs::traceNowNs();
+  if (proceed && !proceed()) {
+    op_mutex_.unlock();
+    if (self_guest != nullptr) exitBlocked(self_guest);
+    return false;
+  }
+  // Time-to-stop: measured from when this stopper *owns* the operation --
+  // queueing behind another stop-the-world is not this pause's fault --
+  // to when the last mutator parks.
+  const u64 t0 = obs::monoNowNs();
   obs::emitAt(t0, obs::Ev::SafepointStop, obs::Ph::Begin, -1);
   std::unique_lock<std::mutex> lock(m_);
   stop_flag_.store(true, std::memory_order_release);
   cv_stopped_.wait(lock, [this] { return running_ == 0; });
-  const u64 t1 = obs::traceNowNs();
+  const u64 t1 = obs::monoNowNs();
   obs::emitAt(t1, obs::Ev::SafepointStop, obs::Ph::End, -1);
   obs::recordLatency(obs::Lat::SafepointTimeToStop, t1 - t0);
+  stops_.store(stops_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  if (t1 - t0 > max_stop_ns_.load(std::memory_order_relaxed)) {
+    max_stop_ns_.store(t1 - t0, std::memory_order_relaxed);
+  }
+  return true;
 }
 
 void SafepointController::resumeTheWorld(JThread* self_guest) {

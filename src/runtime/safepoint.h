@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -53,9 +54,20 @@ class SafepointController {
   // Stop/resume the world. `self_guest` is the calling thread when it is a
   // registered Running guest (it is excluded from the wait; its era
   // bookkeeping is kept coherent across the park), nullptr otherwise.
-  // Operations are serialized; nesting is not allowed.
-  void stopTheWorld(JThread* self_guest);
+  // Operations are serialized; nesting is not allowed. `proceed`, when
+  // given, runs once this caller owns the operation (after any operation
+  // it queued behind has resumed the world) and before anything is
+  // stopped; if it returns false, nothing is stopped, the caller is back
+  // where it was, and stopTheWorld returns false.
+  bool stopTheWorld(JThread* self_guest,
+                    const std::function<bool()>& proceed = nullptr);
   void resumeTheWorld(JThread* self_guest);
+
+  // Always-on time-to-stop record (stop request -> every mutator parked),
+  // the same measurement that feeds the SafepointTimeToStop histogram of
+  // traced builds: the number of stops and the longest one.
+  u64 stopCount() const { return stops_.load(std::memory_order_relaxed); }
+  u64 maxTimeToStopNs() const { return max_stop_ns_.load(std::memory_order_relaxed); }
 
   // ---- safepoint era (epoch-based code reclamation) ----
   u64 currentEra() const { return era_.load(std::memory_order_acquire); }
@@ -77,6 +89,9 @@ class SafepointController {
   std::atomic<u64> era_{1};
   int running_ = 0;
   std::mutex op_mutex_;  // serializes stop-the-world operations
+  // Written only by the operation owner; relaxed.
+  std::atomic<u64> stops_{0};
+  std::atomic<u64> max_stop_ns_{0};
 };
 
 // RAII bracket for blocking natives. When a JThread is supplied, its state

@@ -423,9 +423,27 @@ bool VM::checkMemoryLimits(JThread* t, size_t bytes) {
     return static_cast<u64>(held) + bytes > limit;
   };
 
-  if (heap_.wantsGc() || over_isolate_limit() ||
-      heap_.liveBytes() + bytes > options_.heap_limit) {
-    collectGarbage(t, iso);
+  // The bound (two loads) rules out all but the last grants' worth of
+  // allocations below the limit; only then are the caches summed.
+  auto over_heap_limit = [&]() {
+    return heap_.liveBytesBound() + bytes > options_.heap_limit &&
+           heap_.liveBytes() + bytes > options_.heap_limit;
+  };
+
+  if (heap_.wantsGc() || over_isolate_limit() || over_heap_limit()) {
+    // One collection per trigger. A collection that completes while this
+    // thread waits for the stop-the-world has reset the threshold count
+    // and re-derived every charge: collect again only if a heap-wide
+    // trigger still holds, and decide the isolate limit below on those
+    // fresh charges, as on this thread's own collection's. Noted here, not
+    // on the allocation path (the count shares a line with the call
+    // counter): a Running thread cannot see a collection complete before
+    // it parks, so nothing is missed; a Blocked one may, at worst, collect
+    // once more.
+    const u64 seen_gc = gcCount();
+    runCollection(t, iso, [&] {
+      return gcCount() == seen_gc || heap_.wantsGc() || over_heap_limit();
+    });
   }
   if (over_isolate_limit()) {
     throwGuest(t, "java/lang/OutOfMemoryError",
@@ -433,7 +451,7 @@ bool VM::checkMemoryLimits(JThread* t, size_t bytes) {
                     iso->name.c_str(), iso->memory_limit));
     return false;
   }
-  if (heap_.liveBytes() + bytes > options_.heap_limit) {
+  if (over_heap_limit()) {
     throwGuest(t, "java/lang/OutOfMemoryError", "heap limit exceeded");
     return false;
   }
@@ -680,22 +698,31 @@ void VM::enumerateRoots(const RootSink& sink) {
 
 
 GcStats VM::collectGarbage(JThread* requester, Isolate* trigger) {
+  return *runCollection(requester, trigger, nullptr);
+}
+
+std::optional<GcStats> VM::runCollection(JThread* requester, Isolate* trigger,
+                                         const std::function<bool()>& needed) {
   const bool self_is_guest =
       requester != nullptr &&
       requester->state.load(std::memory_order_acquire) == ThreadState::Running;
-  // The GcPause span wraps the whole stop-the-world section, so the
-  // SafepointStop span (emitted by stopTheWorld) nests inside it along
-  // with the heap's mark/accounting/sweep spans.
-  obs::TraceSpan gc_span(obs::Ev::GcPause,
-                         trigger != nullptr ? trigger->id : -1,
-                         /*a=*/0, obs::Lat::GcPause);
-  // The driving thread does no guest work for the rest of this function;
-  // the activity slot makes the sampler attribute the pause to GC (the
-  // parked mutators are not Running, so they take no samples meanwhile).
-  obs::ProfileActivityScope gc_act(*this, obs::SampleThreadKind::Gc,
-                                   trigger != nullptr ? trigger->id : -1,
-                                   "gc.collect");
-  safepoints_.stopTheWorld(self_is_guest ? requester : nullptr);
+  // The GcPause span wraps the stop-the-world section of a collection that
+  // runs (it opens once this thread owns the operation and has decided to
+  // collect), so the SafepointStop span nests inside it along with the
+  // heap's mark/accounting/sweep spans. The activity slot makes the
+  // sampler attribute the pause to GC: the driving thread does no guest
+  // work meanwhile, and the parked mutators are not Running, so they take
+  // no samples.
+  const i32 trigger_id = trigger != nullptr ? trigger->id : -1;
+  std::optional<obs::TraceSpan> gc_span;
+  std::optional<obs::ProfileActivityScope> gc_act;
+  const bool run = safepoints_.stopTheWorld(self_is_guest ? requester : nullptr, [&] {
+    if (needed && !needed()) return false;
+    gc_span.emplace(obs::Ev::GcPause, trigger_id, /*a=*/0, obs::Lat::GcPause);
+    gc_act.emplace(*this, obs::SampleThreadKind::Gc, trigger_id, "gc.collect");
+    return true;
+  });
+  if (!run) return std::nullopt;
 
   GcStats stats = heap_.collect([this](const RootSink& sink) { enumerateRoots(sink); },
                                 options_.accounting_policy);

@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -248,6 +249,11 @@ class VM {
   // Checks per-isolate + global memory limits before/after an allocation of
   // `bytes`; may force a GC; returns false after throwing OutOfMemoryError.
   bool checkMemoryLimits(JThread* t, size_t bytes);
+  // collectGarbage, except that `needed` (when given) is asked once this
+  // thread owns the stop-the-world; if it says no, nothing is stopped or
+  // collected and the result is empty.
+  std::optional<GcStats> runCollection(JThread* requester, Isolate* trigger,
+                                       const std::function<bool()>& needed);
   void runClinit(JThread* t, JClass* cls, TaskClassMirror& mirror, Isolate* iso);
   // `cache` comes from heap_.acquireCache(), taken before threads_mutex_
   // (and isolates_mutex_): it waits for a running collection, whose root

@@ -1,5 +1,6 @@
 #include "stdlib/system_library.h"
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -618,7 +619,11 @@ void defineStringBuilder(ClassLoader* sys) {
              });
   bindNative(cls, "appendInt", "(I)Ljava/lang/StringBuilder;",
              [payload](NativeCtx& ctx) {
-               payload(ctx)->buf += strf("%d", ctx.args.at(1).asInt());
+               // Decimal, as "%d" would print it, without a heap buffer.
+               char digits[16];
+               const auto res = std::to_chars(digits, digits + sizeof(digits),
+                                              ctx.args.at(1).asInt());
+               payload(ctx)->buf.append(digits, res.ptr);
                return Value::ofRef(self(ctx));
              });
   bindNative(cls, "appendChar", "(I)Ljava/lang/StringBuilder;",

@@ -105,7 +105,7 @@ void expectRejected(VM& vm, JThread* t, const std::string& body,
   Object* r = deserializeGraph(vm, t, withHeader(body));
   EXPECT_EQ(r, nullptr);
   ASSERT_NE(t->pending_exception, nullptr);
-  EXPECT_EQ(t->pending_exception->cls->name, "java/lang/IllegalArgumentException")
+  EXPECT_EQ(t->pending_exception.load()->cls->name, "java/lang/IllegalArgumentException")
       << vm.pendingMessage(t);
   EXPECT_NE(vm.pendingMessage(t).find(why), std::string::npos) << vm.pendingMessage(t);
   vm.clearPending(t);
@@ -255,7 +255,7 @@ TEST_F(CommFixture, MutatedStreamsDecodeOrFailAsGuestExceptions) {
       continue;
     }
     EXPECT_EQ(r, nullptr);
-    const std::string cls = t->pending_exception->cls->name;
+    const std::string cls = t->pending_exception.load()->cls->name;
     EXPECT_TRUE(cls == "java/lang/IllegalArgumentException" ||
                 cls == "java/lang/NoClassDefFoundError")
         << vm->pendingMessage(t);

@@ -558,7 +558,7 @@ TEST_F(DonationFixture, DeepAndWideGraphsNeverReachTheHostStack) {
                                 : deepCopy(*vm, recv_t, root);
       EXPECT_EQ(got, nullptr);
       ASSERT_NE(recv_t->pending_exception, nullptr);
-      EXPECT_EQ(recv_t->pending_exception->cls->name, "java/lang/OutOfMemoryError");
+      EXPECT_EQ(recv_t->pending_exception.load()->cls->name, "java/lang/OutOfMemoryError");
       vm->clearPending(recv_t);
     }
   }

@@ -4,14 +4,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 
 #include "bytecode/builder.h"
 #include "heap/object.h"
 #include "osgi/framework.h"
 #include "runtime/mutator_pool.h"
 #include "stdlib/system_library.h"
+#include "support/strf.h"
 #include "workloads/bundles.h"
 
 namespace ijvm {
@@ -631,6 +634,325 @@ TEST_F(GcFixture, ThreadsAttachAndDetachWhileAnotherThreadCollects) {
   vm->collectGarbage(t, nullptr);
   EXPECT_EQ(countObjects(*vm, node_cls), 0u);
   EXPECT_EQ(vm->heap().liveObjects(), countObjects(*vm));
+}
+
+// ---- one collection per trigger ----
+
+// Waits (up to ~5 s) for `pred`; false on timeout.
+template <typename P>
+bool waitFor(P pred) {
+  for (int i = 0; i < 5000 && !pred(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
+}
+
+TEST(GcCoalescing, PoolWorkersCrossingTheThresholdTogetherCollectOnce) {
+  // Every worker sees wantsGc() and asks for a collection while the world
+  // is held; once it is released, one collection runs and the rest find
+  // the threshold already reset.
+  constexpr int kWorkers = 4;
+  constexpr int kCrossings = 3;
+  VmOptions opts;
+  opts.mutator_threads = kWorkers;
+  opts.gc_threshold = 256u << 10;
+  VM vm(opts);
+  installSystemLibrary(vm);
+  ClassLoader* loader = vm.registry().newLoader("app");
+  ClassBuilder nb("g/Node");
+  nb.field("next", "Lg/Node;");
+  JClass* node_cls = loader->define(nb.build());
+  Isolate* app = vm.createIsolate(loader, "app");
+  JThread* main = vm.mainThread();
+  JClass* int_arr = vm.registry().arrayClass("[I");
+  MutatorPool& pool = vm.mutatorPool();
+
+  for (int crossing = 0; crossing < kCrossings; ++crossing) {
+    SCOPED_TRACE(strf("crossing %d", crossing));
+    while (!vm.heap().wantsGc()) ASSERT_NE(vm.allocArrayObject(main, int_arr, 256), nullptr);
+    const u64 before = vm.gcCount();
+    vm.safepoints().stopTheWorld(nullptr);
+    std::atomic<int> arrived{0};
+    std::atomic<int> nulls{0};
+    for (int k = 0; k < kWorkers; ++k) {
+      pool.submit(
+          [&](JThread* jt) {
+            arrived.fetch_add(1);
+            if (vm.allocObject(jt, node_cls) == nullptr) nulls.fetch_add(1);
+          },
+          app);
+    }
+    const bool all_arrived = waitFor([&] { return arrived.load() == kWorkers; });
+    // Time for each to test its trigger and queue on the stop-the-world.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    vm.safepoints().resumeTheWorld(nullptr);
+    pool.drain();
+    ASSERT_TRUE(all_arrived);
+    EXPECT_EQ(nulls.load(), 0);
+    EXPECT_EQ(vm.gcCount() - before, 1u);
+    EXPECT_FALSE(vm.heap().wantsGc());
+  }
+}
+
+// A native payload that runs a hook the first time the collector traces it.
+class TraceHook : public NativePayload {
+ public:
+  explicit TraceHook(std::function<void()> hook) : hook_(std::move(hook)) {}
+  void trace(const std::function<void(Object*)>&) override {
+    if (hook_) std::exchange(hook_, nullptr)();
+  }
+
+ private:
+  std::function<void()> hook_;
+};
+
+TEST(GcCoalescing, OverLimitThreadWhoseCollectionWasCoalescedStillThrows) {
+  // A thread over its isolate's limit asks for a collection while another
+  // one is running. That collection re-derives the charges, so the thread
+  // skips its own -- and must still get its OutOfMemoryError from them.
+  VM vm;
+  installSystemLibrary(vm);
+  ClassLoader* loader = vm.registry().newLoader("hog");
+  Isolate* hog = vm.createIsolate(loader, "hog");
+  hog->memory_limit = 1u << 20;
+  JThread* main = vm.mainThread();
+  JClass* int_arr = vm.registry().arrayClass("[I");
+  JClass* object_cls = vm.registry().systemLoader()->find("java/lang/Object");
+  ASSERT_NE(object_cls, nullptr);
+
+  // ~800 KiB the hog isolate is charged for (rooted on its behalf).
+  GlobalRef* held;
+  {
+    LocalRootScope roots(main);
+    held = vm.addGlobalRef(roots.add(vm.allocArrayObject(main, int_arr, 200000)), hog);
+  }
+  vm.collectGarbage(main, nullptr);
+  ASSERT_GE(hog->stats.bytes_charged.load(), 800000u);
+
+  JThread* hog_thread = vm.attachThread("hog", hog);
+  std::atomic<bool> go{false};
+  std::atomic<bool> arrived{false};
+  Object* got = nullptr;
+  std::string error;
+  std::thread allocator([&] {
+    waitFor([&] { return go.load(); });
+    arrived.store(true);
+    got = vm.allocArrayObject(hog_thread, int_arr, 64000);  // ~250 KiB more
+    error = vm.pendingMessage(hog_thread);
+    vm.clearPending(hog_thread);
+  });
+  // The hook runs inside the next collection's mark: the hog thread tests
+  // its limit then, and queues on the stop-the-world this one owns.
+  GlobalRef* hook;
+  {
+    LocalRootScope roots(main);
+    hook = vm.addGlobalRef(
+        roots.add(vm.allocNativeObject(main, object_cls, std::make_unique<TraceHook>([&] {
+          go.store(true);
+          waitFor([&] { return arrived.load(); });
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }))),
+        nullptr);
+  }
+  const u64 before = vm.gcCount();
+  vm.collectGarbage(main, nullptr);
+  allocator.join();
+  EXPECT_EQ(got, nullptr);
+  EXPECT_NE(error.find("OutOfMemoryError"), std::string::npos) << error;
+  EXPECT_NE(error.find("memory limit"), std::string::npos) << error;
+  EXPECT_EQ(vm.gcCount() - before, 1u) << "the hog thread collected again";
+  vm.detachThread(hog_thread);
+  vm.removeGlobalRef(hook);
+  vm.removeGlobalRef(held);
+}
+
+// ---- allocation counters: grants and exact reads ----
+
+// Heap-level fixture: a VM only for its classes, and a private Heap.
+struct HeapFixture : ::testing::Test {
+  void SetUp() override {
+    installSystemLibrary(vm);
+    int_arr = vm.registry().arrayClass("[I");
+    ref_arr = vm.registry().arrayClass("[Ljava/lang/Object;");
+    string_cls = vm.registry().systemLoader()->find("java/lang/String");
+    object_cls = vm.registry().systemLoader()->find("java/lang/Object");
+    ASSERT_NE(ref_arr, nullptr);
+    ASSERT_NE(string_cls, nullptr);
+    ASSERT_NE(object_cls, nullptr);
+  }
+  // A string whose object is charged exactly `bytes` (>= 88).
+  static std::string charsFor(size_t bytes) {
+    std::string chars(bytes - sizeof(Object) - sizeof(std::string*), 'x');
+    EXPECT_EQ(Heap::stringFootprint(chars), bytes);
+    return chars;
+  }
+  VM vm;
+  JClass* int_arr = nullptr;
+  JClass* ref_arr = nullptr;
+  JClass* string_cls = nullptr;
+  JClass* object_cls = nullptr;
+};
+
+TEST_F(HeapFixture, WantsGcIsExactWhileOtherCachesHoldUnspentGrants) {
+  constexpr size_t kThreshold = 64u << 10;
+  Heap heap(kThreshold);
+  AllocCache* mine = heap.acquireCache();
+  AllocCache* other1 = heap.acquireCache();
+  AllocCache* other2 = heap.acquireCache();
+  for (size_t target : {kThreshold - 1, kThreshold}) {
+    SCOPED_TRACE(strf("target %zu", target));
+    // The other caches draw a grant each and spend 64 B of it.
+    ASSERT_NE(heap.allocArray(int_arr, 0, 0, other1), nullptr);
+    ASSERT_NE(heap.allocArray(int_arr, 0, 0, other2), nullptr);
+    // Fill to ~8 KB short of the target with int arrays, then one exact
+    // string: larger than a grant chunk, so its draw must cover it.
+    while (heap.bytesSinceGc() + 8000 + 64 + 4 * 64 < target) {
+      ASSERT_NE(heap.allocArray(int_arr, 64, 0, mine), nullptr);
+    }
+    ASSERT_NE(heap.allocString(string_cls, charsFor(target - heap.bytesSinceGc()), 0, mine),
+              nullptr);
+    ASSERT_EQ(heap.bytesSinceGc(), target);
+    // Unspent grants: the cheap bound is past the threshold either way.
+    EXPECT_GT(heap.liveBytesBound(), heap.liveBytes());
+    EXPECT_GE(heap.liveBytesBound(), kThreshold);
+    EXPECT_EQ(heap.wantsGc(), target >= kThreshold);
+    heap.collect([](const RootSink&) {});
+    EXPECT_FALSE(heap.wantsGc());
+    EXPECT_EQ(heap.bytesSinceGc(), 0u);
+  }
+  for (AllocCache* c : {mine, other1, other2}) heap.releaseCache(c);
+}
+
+TEST_F(HeapFixture, CountsAreExactAfterConcurrentAllocationAndAReleasedCache) {
+  Heap heap(8u << 20);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2000;
+  // Per round: int[5] (84 B) and a 100-byte string; every 8th round also
+  // an Object[600] (4864 B: above the stash sizes).
+  auto round_bytes = [](int r) -> size_t {
+    return 84 + 100 + (r % 8 == 0 ? 64 + 8 * 600 : 0);
+  };
+  auto round_objects = [](int r) -> size_t { return r % 8 == 0 ? 3 : 2; };
+  size_t expect_bytes = 0, expect_objects = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    expect_bytes += round_bytes(r);
+    expect_objects += round_objects(r);
+  }
+  expect_bytes *= kThreads;
+  expect_objects *= kThreads;
+
+  std::vector<AllocCache*> caches(kThreads);
+  for (AllocCache*& c : caches) c = heap.acquireCache();
+  std::vector<std::thread> threads;
+  std::atomic<int> nulls{0};
+  for (int k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      AllocCache* c = caches[static_cast<size_t>(k)];
+      for (int r = 0; r < kRounds; ++r) {
+        if (heap.allocArray(int_arr, 5, 0, c) == nullptr) nulls.fetch_add(1);
+        if (heap.allocString(string_cls, charsFor(100), 0, c) == nullptr) nulls.fetch_add(1);
+        if (r % 8 == 0 && heap.allocArray(ref_arr, 600, 0, c) == nullptr) nulls.fetch_add(1);
+        // One thread leaves halfway through the cycle.
+        if (k == 0 && r == kRounds - 1) heap.releaseCache(c);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_EQ(nulls.load(), 0);
+  EXPECT_EQ(heap.bytesSinceGc(), expect_bytes);
+  EXPECT_EQ(heap.totalAllocatedBytes(), expect_bytes);
+  EXPECT_EQ(heap.liveBytes(), expect_bytes);
+  EXPECT_EQ(heap.liveObjects(), expect_objects);
+  size_t walked = 0;
+  heap.forEachObject([&](Object*) { ++walked; });
+  EXPECT_EQ(walked, expect_objects);
+
+  // The released cache goes to the next thread with its table and counts.
+  AllocCache* next = heap.acquireCache();
+  EXPECT_EQ(next, caches[0]);
+  Object* kept = heap.allocArray(int_arr, 5, 0, next);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(heap.liveObjects(), expect_objects + 1);
+  EXPECT_EQ(heap.totalAllocatedBytes(), expect_bytes + 84);
+
+  const GcStats stats = heap.collect([&](const RootSink& sink) { sink(kept, 0); });
+  EXPECT_EQ(stats.objects_freed, expect_objects);
+  EXPECT_EQ(stats.bytes_freed, expect_bytes);
+  EXPECT_EQ(heap.liveObjects(), 1u);
+  EXPECT_EQ(heap.liveBytes(), 84u);
+  EXPECT_EQ(heap.bytesSinceGc(), 0u);
+  EXPECT_EQ(heap.totalAllocatedBytes(), expect_bytes + 84);
+  heap.releaseCache(next);
+  for (int k = 1; k < kThreads; ++k) heap.releaseCache(caches[static_cast<size_t>(k)]);
+}
+
+// Counts its destructions (the sweep deletes a dead Native's payload).
+class DeathCounter : public NativePayload {
+ public:
+  explicit DeathCounter(int* deaths) : deaths_(deaths) {}
+  ~DeathCounter() override { ++*deaths_; }
+  size_t byteSize() const override { return 24; }
+
+ private:
+  int* deaths_;
+};
+
+TEST_F(HeapFixture, SweepFreesEveryUnreachableKindAndRecyclesTheBlocks) {
+  Heap heap(8u << 20);
+  AllocCache* cache = heap.acquireCache();
+  int deaths = 0;
+  std::vector<Object*> kept;
+  std::vector<std::pair<Object*, std::string>> kept_strings;
+  size_t kept_bytes = 0;
+  auto churn = [&](int rounds) {
+    size_t natives_dropped = 0;
+    for (int i = 0; i < rounds; ++i) {
+      Object* objs[] = {
+          heap.allocString(string_cls, std::string(static_cast<size_t>(i % 50), 's'), 0, cache),
+          heap.allocString(string_cls, std::string(40 + static_cast<size_t>(i % 300), 'l'), 0,
+                           cache),
+          heap.allocNative(object_cls, std::make_unique<DeathCounter>(&deaths), 0, cache),
+          heap.allocArray(int_arr, i % 40, 0, cache),
+          heap.allocArray(ref_arr, 3, 0, cache),
+      };
+      for (Object* o : objs) ASSERT_NE(o, nullptr);
+      if (i % 10 == 0) {  // keep one in ten of each, in a chain of ref arrays
+        objs[4]->refElems()[0] = objs[0];
+        objs[4]->refElems()[1] = objs[1];
+        objs[4]->refElems()[2] = objs[2];
+        for (Object* o : objs) {
+          if (o == objs[3]) continue;
+          kept.push_back(o);
+          kept_bytes += o->byte_size + (o->kind == ObjKind::Native ? 24 : 0);
+          if (o->kind == ObjKind::String) kept_strings.emplace_back(o, o->str());
+        }
+      } else {
+        ++natives_dropped;
+      }
+    }
+    const int deaths_before = deaths;
+    const GcStats stats = heap.collect([&](const RootSink& sink) {
+      for (Object* o : kept) {
+        if (o->kind == ObjKind::ArrayRef) sink(o, 0);
+      }
+    });
+    EXPECT_EQ(static_cast<size_t>(deaths - deaths_before), natives_dropped);
+    EXPECT_EQ(stats.live_objects, kept.size());
+    EXPECT_EQ(stats.live_bytes, kept_bytes);
+    std::unordered_set<Object*> live;
+    heap.forEachObject([&](Object* o) { live.insert(o); });
+    EXPECT_EQ(live.size(), kept.size());
+    for (Object* o : kept) EXPECT_EQ(live.count(o), 1u);
+    for (const auto& [o, chars] : kept_strings) EXPECT_EQ(o->str(), chars);
+  };
+  churn(400);
+  const u64 recycled_before = heap.recycledAllocs();
+  churn(400);
+  if (heap.cachedBytes() == 0) {
+    GTEST_SKIP() << "block cache disabled (sanitizer build)";
+  }
+  EXPECT_GT(heap.recycledAllocs() - recycled_before, 100u);
+  heap.releaseCache(cache);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // per-isolate accounting, Math, Integer, System, permission checks.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+
 #include "bytecode/builder.h"
 #include "heap/object.h"
 #include "runtime/vm.h"
@@ -51,6 +54,29 @@ TEST_F(StdlibFixture, StringBuilderBuildsText) {
   Value r = run(cb, "f", "()Ljava/lang/String;");
   ASSERT_TRUE(last_error.empty()) << last_error;
   EXPECT_EQ(VM::stringValue(r.asRef()), "n=42!");
+}
+
+TEST_F(StdlibFixture, StringBuilderAppendIntMatchesPrintf) {
+  const i32 values[] = {0, 7, -1, -42, 1000000, INT32_MIN, INT32_MAX};
+  ClassBuilder cb("sl/SbInt");
+  auto& m = cb.method("f", "()Ljava/lang/String;", ACC_PUBLIC | ACC_STATIC);
+  m.newDefault("java/lang/StringBuilder");
+  std::string expected;
+  for (i32 v : values) {
+    m.iconst(v).invokevirtual("java/lang/StringBuilder", "appendInt",
+                              "(I)Ljava/lang/StringBuilder;");
+    m.iconst('|').invokevirtual("java/lang/StringBuilder", "appendChar",
+                                "(I)Ljava/lang/StringBuilder;");
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%d|", v);
+    expected += buf;
+  }
+  m.invokevirtual("java/lang/StringBuilder", "toString", "()Ljava/lang/String;");
+  m.areturn();
+  Value r = run(cb, "f", "()Ljava/lang/String;");
+  ASSERT_TRUE(last_error.empty()) << last_error;
+  EXPECT_EQ(VM::stringValue(r.asRef()), expected);
+  EXPECT_EQ(expected, "0|7|-1|-42|1000000|-2147483648|2147483647|");
 }
 
 TEST_F(StdlibFixture, ArrayListAddGetSetSizeRemove) {
